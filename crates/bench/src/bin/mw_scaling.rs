@@ -1,13 +1,13 @@
-//! Multi-writer scaling figure: the lock-free intra-shard commit
-//! pipeline against the mutex+leader/follower baseline, 1–16 writers on
-//! 1- and 4-shard pools, with per-shard + merged persist-order audits
-//! and the embedded multi-writer crash campaigns.
+//! Multi-writer scaling figure: the pool's ring commit pipeline with
+//! 1–16 writers in flight on 1- and 4-shard pools, priced against the
+//! same pipeline with one window in flight, with per-shard + merged
+//! persist-order audits and the embedded multi-writer crash campaigns.
 //!
 //! Usage: `cargo run --release -p bench --bin mw_scaling [-- --quick]`
 //!
 //! Exits non-zero if any trace has a persist-order violation, if either
 //! crash campaign reports a violation, or if the single-shard pipeline
-//! fails to reach 2x the mutex throughput at 8 writers.
+//! at 8 writers fails to reach 2x its 1-writer throughput.
 
 use bench::figs::mw_scaling;
 

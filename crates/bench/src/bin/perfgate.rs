@@ -84,7 +84,6 @@ fn counters(bench: &str) -> Vec<(&'static str, Direction)> {
         "mw_scaling" => vec![
             ("mw_speedup_x_8w", HigherIsBetter),
             ("mw_ns_per_txn_1w", LowerIsBetter),
-            ("mutex_ns_per_txn_8w", Info),
             ("mw_ns_per_txn_8w", Info),
         ],
         other => panic!("unknown bench {other:?} — teach perfgate its gate schema"),

@@ -4,8 +4,8 @@
 //! feeds every shard's trace — and the pool-wide merged trace — through
 //! the `persistcheck` analyzer with the happens-before race rules armed
 //! (`persist-race`, `unordered-commit`, `cross-thread-flush-dependency`).
-//! The pool's mutex-serialised commit path must come out completely
-//! clean; tracing must not move the simulated clock.
+//! The pool's ring commit pipeline must come out completely clean;
+//! tracing must not move the simulated clock.
 //!
 //! Usage: `cargo run --release -p bench --bin persistrace [-- --quick]`
 //!

@@ -16,8 +16,8 @@
 //! sub-knee p99, ±5 %), and the crash-mid-backlog campaign verdict.
 //!
 //! Every Tinca point runs on traced NVM devices and must pass the
-//! per-shard persist-order audit — saturation (group-committed backlog,
-//! destage under pressure) must not bend the commit protocol.
+//! per-shard persist-order audit — saturation (a deep backlog, destage
+//! under pressure) must not bend the commit protocol.
 
 use std::fs;
 
@@ -98,10 +98,16 @@ fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>, SimClock) {
                 coalesce_flushes: true,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, devices, disk_clock)
+}
+
+/// One service slot per shard: the knee is compared against Classic's
+/// single-server shards, so Tinca's pool is modelled the same way and
+/// only its per-commit cost differs.
+fn tinca_server(pool: &TincaPool, disk_clock: SimClock) -> TincaServer<'_> {
+    TincaServer::new(pool, disk_clock).with_commit_concurrency(1)
 }
 
 fn classic_server(quick: bool) -> ClassicServer {
@@ -114,8 +120,7 @@ fn classic_server(quick: bool) -> ClassicServer {
 /// persist-order trace.
 fn tinca_point(quick: bool, rate: f64) -> LoadPoint {
     let (pool, devices, disk_clock) = build_pool(quick);
-    let report =
-        OpenLoopDriver::new(base_spec(quick, rate), TincaServer::new(&pool, disk_clock)).run();
+    let report = OpenLoopDriver::new(base_spec(quick, rate), tinca_server(&pool, disk_clock)).run();
     pool.flush_all().unwrap();
     let mut violations = 0usize;
     for (s, d) in devices.iter().enumerate() {
@@ -171,7 +176,7 @@ pub fn run(quick: bool) -> LatencyLoadResult {
     let probe_ops = if quick { 200 } else { 400 };
     let cap_tinca = {
         let (pool, _devices, disk_clock) = build_pool(quick);
-        let mut server = TincaServer::new(&pool, disk_clock);
+        let mut server = tinca_server(&pool, disk_clock);
         probe_capacity(&mut server, &base_spec(quick, 1_000.0), probe_ops)
     };
     let cap_classic = {

@@ -13,12 +13,14 @@
 //!   space via [`nvmsim::merge_shard_traces`], analysed as a single
 //!   stream.
 //!
-//! The pool's commit path is mutex-serialised and annotates its locks and
-//! the group-commit result handoff as sync events, so the gate is strict:
-//! **zero** correctness-rule hits (the classic three *and* the three race
-//! rules) in either view. A single missing happens-before edge — say the
-//! leader publishing results before its fence, or a destage racing a
-//! commit — fails the bin.
+//! The pool's ring pipeline annotates its cache locks and each window's
+//! publication (writer release-store → sequencer acquire) as sync
+//! events, so the gate is strict: **zero** correctness-rule hits (the
+//! classic three *and* the three race rules) in either view. A single
+//! missing happens-before edge — say a sequencer fencing before it
+//! adopted a writer's publication, or a destage racing a commit — fails
+//! the bin. The multi-thread points' event counts depend on OS
+//! scheduling.
 //!
 //! Tracing neutrality is asserted on the deterministic single-thread
 //! points: the same workload untraced must land on the same simulated
@@ -64,7 +66,6 @@ fn build_pool(shards: usize, nvm_bytes: usize, traced: bool) -> (TincaPool, Vec<
                 ring_bytes: 16 << 10,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, devices)
@@ -169,7 +170,7 @@ pub fn run(quick: bool) -> (Table, bool) {
     banner(
         "persistrace",
         "Concurrency-aware persist audit: HB race rules over the sharded pool",
-        "zero correctness hits (incl. persist-race/unordered-commit) on the mutex-serialized path",
+        "zero correctness hits (incl. persist-race/unordered-commit) on the ring pipeline",
     );
     let points: &[(usize, usize)] = if quick {
         &[(1, 1), (2, 4)]

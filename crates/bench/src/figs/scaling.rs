@@ -8,9 +8,10 @@
 //!   `N = 1` serialises every commit on one shard clock; `N = 4` spreads
 //!   them over four independent sub-region clocks, so wall time is the
 //!   *max* shard advance and throughput scales with shards.
-//! * **flushes/txn**: group commit batches queued transactions into one
-//!   ring commit; more threads per shard → bigger batches → fewer
-//!   `clflush`+`sfence` per transaction on the contended pool.
+//! * **flushes/txn** and **batched %**: windows published while a sequencer
+//!   round runs share the next round's fence and `Head` store. How many
+//!   do depends on OS thread scheduling, so these columns vary from run
+//!   to run; the deterministic multi-writer comparison is `mw_scaling`.
 //!
 //! Every run traces NVM events; the persist-order analyzer must report
 //! zero correctness violations on **each shard's** commit stream.
@@ -48,7 +49,6 @@ fn build_pool(shards: usize, nvm_bytes: usize) -> (TincaPool, Vec<Nvm>) {
                 ring_bytes: 16 << 10,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, devices)

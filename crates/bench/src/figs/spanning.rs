@@ -77,7 +77,6 @@ fn build_pool(quick: bool) -> (TincaPool, Vec<Nvm>) {
                 ring_bytes: 16 << 10,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, devices)
@@ -211,7 +210,7 @@ pub fn run(quick: bool) -> SpanningResult {
 
     // Embedded crash smoke: enumerate frontiers of a spanning workload
     // and sweep random trips; both must see zero torn transactions.
-    let frontier = crashsim::spanning_frontier_campaign(2, 0x57A6, if quick { 1 } else { 2 }, 4);
+    let frontier = crashsim::spanning_frontier_campaign(2, 0x57A6, if quick { 2 } else { 3 }, 4);
     println!("frontier: {frontier}");
     for v in &frontier.violations {
         eprintln!("  violation: {v}");

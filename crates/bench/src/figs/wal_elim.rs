@@ -239,7 +239,7 @@ pub fn run(quick: bool) -> WalElimResult {
         FailureMode::PowerPull,
     );
     let wal_frontier = wal_kv_frontier_campaign(0xE1F2, 2, frontier_cap);
-    let tinca_frontier = tinca_kv_frontier_campaign(0xE1F3, 2, frontier_cap);
+    let tinca_frontier = tinca_kv_frontier_campaign(0xE1F3, 3, frontier_cap);
     for (what, runs, crashes, violations) in [
         (
             "wal fuzz",

@@ -18,19 +18,7 @@ use crate::{CacheStats, TincaConfig, TincaError, Txn, WritePolicy};
 /// Shared handle to the backing disk below the cache.
 pub type DynDisk = Arc<dyn BlockDevice>;
 
-/// One shard's staged fragment of a spanning transaction: the commit
-/// protocol has run up to (but not including) the shard's `Tail` move, so
-/// the ring window is still open and the staged entries are revocable.
-/// Returned by [`TincaCache::prepare_fragment`] and consumed by
-/// [`TincaCache::complete_fragment`] / [`TincaCache::abort_fragment`].
-pub(crate) struct PreparedFragment {
-    touched: Vec<u32>,
-    replaced_prevs: Vec<u32>,
-    blocks: u64,
-    coalesced: u64,
-}
-
-/// Per-window bookkeeping for the multi-writer lock-free commit path
+/// Per-window bookkeeping for the pool's ring commit pipeline
 /// (DESIGN §16). Produced by [`TincaCache::mw_stage_meta`] while the shard
 /// lock is held; the payload staging jobs run *outside* any lock, and the
 /// rest is consumed by the sequencer ([`TincaCache::mw_sequence`]).
@@ -60,6 +48,34 @@ pub(crate) struct MwStagedMeta {
     /// revoked, its unwritten slots dead-tagged, and the sequencer treats
     /// it as a published no-op so `Head` can pass it.
     pub(crate) failed: bool,
+}
+
+impl MwStagedMeta {
+    fn new(start: u64, n: usize, desc_slot: usize, coalesced: u64) -> MwStagedMeta {
+        MwStagedMeta {
+            start,
+            len: n as u64,
+            desc_slot,
+            touched: Vec::with_capacity(n),
+            replaced_prevs: Vec::with_capacity(n),
+            pinned_blocks: Vec::with_capacity(2 * n),
+            pinned_entries: Vec::with_capacity(n),
+            stage_jobs: Vec::with_capacity(n),
+            blocks: n as u64,
+            coalesced,
+            failed: false,
+        }
+    }
+}
+
+/// Outcome of one [`TincaCache::write_back`] batch.
+struct WriteBack {
+    /// Device time the batch and its retries occupied the lane.
+    lane_ns: u64,
+    /// Blocks written and marked clean.
+    cleaned: u64,
+    /// First permanent failure (its block was quarantined).
+    first_err: Option<IoError>,
 }
 
 /// Operational condition of a cache (or pool) with respect to its backing
@@ -132,11 +148,11 @@ pub struct TincaCache {
     /// advancing the foreground clock (wall = max, busy = sum — the same
     /// overlap model `workloads::mtfio` uses for shard parallelism).
     destage_lane_free_ns: u64,
-    /// Entries currently pinned by in-flight multi-writer windows. The
-    /// legacy admission supply (`free + evictable cached`) assumed one
+    /// Entries currently pinned by in-flight ring windows. The bare
+    /// commit's admission supply (`free + evictable cached`) assumes one
     /// committer; concurrent windows keep log-role entries alive between
-    /// rounds, and those must not count as evictable supply. Zero outside
-    /// the lock-free path.
+    /// rounds, and those must not count as evictable supply. Zero on a
+    /// bare cache.
     mw_pinned_entries: usize,
     stats: CacheStats,
 }
@@ -306,32 +322,6 @@ impl TincaCache {
         out
     }
 
-    /// Commits a batch of transactions as **one** ring commit (group
-    /// commit): the batch is folded into a single committing transaction
-    /// (later writers win, payload buffers are moved, not copied), so the
-    /// whole group pays one Tail store + fence — the same amortisation
-    /// JBD2 gets from batching fsyncs into one compound transaction.
-    ///
-    /// The batch is atomic as a unit: either every transaction's blocks are
-    /// durable or none are (a mid-protocol failure revokes the merged
-    /// transaction and every waiter sees the error).
-    pub fn commit_group(&mut self, txns: Vec<Txn>) -> Result<(), TincaError> {
-        let k = txns.len() as u64;
-        let mut it = txns.into_iter();
-        let Some(mut merged) = it.next() else {
-            return Ok(());
-        };
-        for t in it {
-            merged.absorb(t);
-        }
-        let res = self.commit(&merged);
-        if res.is_ok() && k > 1 {
-            self.stats.group_commits += 1;
-            self.stats.batched_txns += k;
-        }
-        res
-    }
-
     /// Aborts a running transaction (`tinca_abort`, §4.1). Running
     /// transactions are DRAM-only, so nothing needs revoking; the staged
     /// blocks are simply dropped. (A *committing* transaction that fails
@@ -342,133 +332,7 @@ impl TincaCache {
     }
 
     // ------------------------------------------------------------------
-    // Spanning-transaction fragments (two-phase commit, pool-driven)
-    // ------------------------------------------------------------------
-
-    /// Stages one shard's fragment of a spanning transaction: runs the
-    /// full commit protocol (COW writes, entry updates, tagged ring
-    /// slots, `Head` move, role switch) but **stops before the commit
-    /// point** — `Tail` does not move, so the ring window `[Tail, Head)`
-    /// stays open and recovery can still revoke everything. Pins stay
-    /// held. The caller must follow up with exactly one of
-    /// [`complete_fragment`](Self::complete_fragment) or
-    /// [`abort_fragment`](Self::abort_fragment) before any other commit
-    /// runs on this shard (the pool holds the shard lock throughout).
-    pub(crate) fn prepare_fragment(
-        &mut self,
-        txn: &Txn,
-        tag: u8,
-    ) -> Result<PreparedFragment, TincaError> {
-        debug_assert!(!txn.is_empty());
-        debug_assert_ne!(tag, 0, "spanning fragments must carry an intent tag");
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let n = txn.len();
-        {
-            let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
-            if n as u64 > self.layout.ring_cap {
-                return Err(TincaError::TxnTooLarge {
-                    blocks: n,
-                    ring_cap: self.layout.ring_cap,
-                });
-            }
-            let needed = if self.cfg.role_switch { n } else { 2 * n };
-            let overlap = txn
-                .blocks()
-                .iter()
-                .filter(|(b, _)| self.index.contains_key(b))
-                .count();
-            let available = self.free_blocks.free_count() + (self.index.len() - overlap);
-            if needed > available {
-                return Err(TincaError::CacheExhausted { needed, available });
-            }
-        }
-        debug_assert_eq!(
-            self.head, self.tail,
-            "previous transaction left the ring open"
-        );
-        let mut touched: Vec<u32> = Vec::with_capacity(n);
-        let mut replaced_prevs: Vec<u32> = Vec::with_capacity(n);
-        let result = self
-            .commit_blocks(txn, &mut touched, &mut replaced_prevs, tag)
-            .and_then(|()| {
-                if self.cfg.role_switch {
-                    self.complete_role_switch(&touched);
-                    Ok(())
-                } else {
-                    self.complete_double_write(&mut touched)
-                }
-            });
-        match result {
-            Ok(()) => Ok(PreparedFragment {
-                touched,
-                replaced_prevs,
-                blocks: n as u64,
-                coalesced: txn.coalesced_writes(),
-            }),
-            Err(e) => {
-                self.revoke_in_flight(&touched);
-                self.clear_pins();
-                self.stats.failed_commits += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Second phase of a resolved spanning commit: moves `Tail` (this
-    /// shard's commit point) and performs the DRAM reclamation the
-    /// ordinary commit does after its own commit point. Only called once
-    /// the pool's intent record is durably `RESOLVED` — from then on
-    /// recovery rolls this fragment forward, so the `Tail` store merely
-    /// retires the revocation window early.
-    pub(crate) fn complete_fragment(&mut self, frag: PreparedFragment) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        {
-            let _p = telemetry::span(telemetry::phase::COMMIT_POINT);
-            self.tail = self.head;
-            self.nvm.atomic_write_u64(TAIL_OFF, self.tail);
-            self.nvm.persist(TAIL_OFF, 8);
-            self.nvm.note_commit(TAIL_OFF, 8);
-        }
-        // Retire the window's intent tags (wraparound guard, DESIGN §14).
-        // Strictly after the commit point: a crash in between leaves the
-        // tags behind `Tail`, where window homogeneity keeps them inert
-        // until the slots are reused.
-        self.scrub_slot_tags(window.0, window.1);
-        for p in frag.replaced_prevs {
-            self.free_blocks.release(p);
-        }
-        for &idx in &frag.touched {
-            self.lru.touch(idx);
-        }
-        self.stats.commits += 1;
-        self.stats.committed_blocks += frag.blocks;
-        self.stats.coalesced_writes += frag.coalesced;
-        self.stats.spanning_fragments += 1;
-        if self.cfg.write_policy == WritePolicy::WriteThrough {
-            let _w = telemetry::span(telemetry::phase::COMMIT_WRITE_THROUGH);
-            self.write_through(&frag.touched);
-        }
-        self.clear_pins();
-        drop(_t);
-        self.maybe_destage();
-    }
-
-    /// Aborts a prepared fragment before the intent resolves: revokes
-    /// every staged entry (restoring previous versions) and closes the
-    /// ring window, exactly like a failed ordinary commit.
-    pub(crate) fn abort_fragment(&mut self, frag: PreparedFragment) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        self.revoke_in_flight(&frag.touched);
-        self.scrub_slot_tags(window.0, window.1);
-        self.clear_pins();
-        self.stats.failed_commits += 1;
-    }
-
-    // ------------------------------------------------------------------
-    // Multi-writer ring windows (lock-free commit path, pool-driven;
-    // DESIGN §16)
+    // Ring windows (the pool's commit pipeline, pool-driven; DESIGN §16)
     // ------------------------------------------------------------------
 
     /// Writes a window descriptor (state word + geometry) and flushes its
@@ -529,9 +393,9 @@ impl TincaCache {
         self.mw_pinned_entries -= entries.len();
     }
 
-    /// Meta phase of a multi-writer window commit, run **under the shard
-    /// lock** with the ring window `[start, start+n)` already reserved by
-    /// the pool's fetch-add cursor: admission, block allocation, log-role
+    /// Meta phase of a window commit, run **under the shard lock** with
+    /// the ring window `[start, start+n)` already reserved by the pool:
+    /// admission, block allocation, log-role
     /// entry stores, ring-slot stores and the `RESERVED` descriptor — all
     /// flushed but **never fenced** (the sequencer's single drain fence
     /// covers everything). Payload writes are *not* performed here; they
@@ -550,54 +414,22 @@ impl TincaCache {
         txn: Txn,
         start: u64,
         desc_slot: usize,
-        tag: u8,
         ordinal: u64,
     ) -> Result<MwStagedMeta, (TincaError, MwStagedMeta)> {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
+        let _t = telemetry::span(telemetry::phase::RING_META);
         let n = txn.len();
         debug_assert!(n > 0 && (n as u64) <= self.layout.ring_cap);
-        let spanning = tag != 0;
-        let mut meta = MwStagedMeta {
-            start,
-            len: n as u64,
-            desc_slot,
-            touched: Vec::with_capacity(n),
-            replaced_prevs: Vec::with_capacity(n),
-            pinned_blocks: Vec::with_capacity(2 * n),
-            pinned_entries: Vec::with_capacity(n),
-            stage_jobs: Vec::with_capacity(n),
-            blocks: n as u64,
-            coalesced: txn.coalesced_writes(),
-            failed: false,
-        };
+        let mut meta = MwStagedMeta::new(start, n, desc_slot, txn.coalesced_writes());
         self.mw_write_desc(
             desc_slot,
             mw_state_word(ordinal, MW_RESERVED),
             start,
             n as u64,
-            if spanning { MW_FLAG_SPANNING } else { 0 },
+            0,
         );
-        {
-            let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
-            // Same supply rule as `commit`, minus entries other in-flight
-            // windows keep pinned (they are not evictable mid-round).
-            let overlap = txn
-                .blocks()
-                .iter()
-                .filter(|(b, _)| self.index.contains_key(b))
-                .count();
-            let evictable = (self.index.len() - overlap).saturating_sub(self.mw_pinned_entries);
-            let available = self.free_blocks.free_count() + evictable;
-            if n > available {
-                self.mw_fail_window(&mut meta, 0);
-                return Err((
-                    TincaError::CacheExhausted {
-                        needed: n,
-                        available,
-                    },
-                    meta,
-                ));
-            }
+        if let Err(e) = self.mw_supply_check(&txn) {
+            self.mw_fail_window(&mut meta, 0);
+            return Err((e, meta));
         }
         let mut entry_lines: Vec<usize> = Vec::with_capacity(n);
         for (seq, (disk_blk, data)) in (start..).zip(txn.into_blocks()) {
@@ -613,62 +445,165 @@ impl TincaCache {
                     }
                 }
             };
-            let mut pinned_blocks = std::mem::take(&mut meta.pinned_blocks);
-            self.mw_pin_block(new_blk, &mut pinned_blocks);
             meta.stage_jobs.push((self.layout.data_addr(new_blk), data));
-            // (2) Log-role entry, one 16 B atomic store, line flush deferred.
-            let _e = telemetry::span(telemetry::phase::COMMIT_ENTRY);
-            let idx = match self.index.get(&disk_blk) {
-                Some(&idx) => {
-                    let old = self.read_entry(idx);
-                    debug_assert!(old.valid && old.disk_blk == disk_blk);
-                    debug_assert_eq!(old.role, Role::Buffer);
-                    if !old.modified {
-                        self.dirty_idx.insert(idx);
-                    }
-                    let prev = old.cur;
-                    self.mw_pin_block(prev, &mut pinned_blocks);
-                    meta.replaced_prevs.push(prev);
-                    self.write_entry_unflushed(
-                        idx,
-                        CacheEntry::new(Role::Log, true, disk_blk, prev, new_blk),
-                    );
-                    self.stats.write_hits += 1;
-                    idx
-                }
-                None => {
-                    // Audited panic: one entry slot exists per data block,
-                    // so a free block implies a free entry (see `commit`).
-                    #[allow(clippy::disallowed_methods)]
-                    let idx = self
-                        .free_entries
-                        .allocate()
-                        .expect("entry pool exhausts strictly after block pool");
-                    self.write_entry_unflushed(
-                        idx,
-                        CacheEntry::new(Role::Log, true, disk_blk, FRESH, new_blk),
-                    );
-                    self.index.insert(disk_blk, idx);
-                    self.lru.push_mru(idx);
-                    self.dirty_idx.insert(idx);
-                    self.stats.write_misses += 1;
-                    idx
-                }
-            };
-            meta.pinned_blocks = pinned_blocks;
-            drop(_e);
-            entry_lines.push(self.layout.entry_addr(idx) / nvmsim::CACHE_LINE);
-            let mut pinned_entries = std::mem::take(&mut meta.pinned_entries);
-            self.mw_pin_entry(idx, &mut pinned_entries);
-            meta.pinned_entries = pinned_entries;
-            meta.touched.push(idx);
-            // (3) Ring slot: 8 B atomic store + line flush, fence deferred.
-            let _r = telemetry::span(telemetry::phase::COMMIT_RING);
-            let slot = self.layout.ring_slot_addr(seq);
-            self.nvm.atomic_write_u64(slot, slot_value(disk_blk, tag));
-            self.nvm.clflush(slot, 8);
+            self.mw_meta_block(&mut meta, seq, disk_blk, new_blk, 0, &mut entry_lines);
         }
-        // Deferred entry flush: one clflush per *distinct* line, no fence.
+        self.mw_flush_entry_lines(&meta, entry_lines);
+        Ok(meta)
+    }
+
+    /// Meta phase of spanning fragments on a quiesced shard, whose blocks
+    /// [`Self::mw_alloc_fragment`] allocated and whose payloads are staged,
+    /// so it cannot fail: the `MW_FLAG_SPANNING` descriptor, log-role
+    /// entries and ring slots tagged `tag`, flushed but not fenced.
+    pub(crate) fn mw_stage_meta_spanning(
+        &mut self,
+        disk_blocks: &[u64],
+        blocks: &[u32],
+        start: u64,
+        desc_slot: usize,
+        tag: u8,
+        ordinal: u64,
+    ) -> MwStagedMeta {
+        let _t = telemetry::span(telemetry::phase::RING_META);
+        let n = disk_blocks.len();
+        debug_assert!(n > 0 && n == blocks.len() && (n as u64) <= self.layout.ring_cap);
+        let mut meta = MwStagedMeta::new(start, n, desc_slot, 0);
+        self.mw_write_desc(
+            desc_slot,
+            mw_state_word(ordinal, MW_RESERVED),
+            start,
+            n as u64,
+            MW_FLAG_SPANNING,
+        );
+        let mut entry_lines: Vec<usize> = Vec::with_capacity(n);
+        for ((seq, &disk_blk), &new_blk) in (start..).zip(disk_blocks).zip(blocks) {
+            self.mw_meta_block(&mut meta, seq, disk_blk, new_blk, tag, &mut entry_lines);
+        }
+        self.mw_flush_entry_lines(&meta, entry_lines);
+        meta
+    }
+
+    /// The meta phase's supply rule: the same as `commit`'s, minus entries
+    /// other in-flight windows keep pinned (they are not evictable
+    /// mid-round).
+    fn mw_supply_check(&self, txn: &Txn) -> Result<(), TincaError> {
+        let _a = telemetry::span(telemetry::phase::COMMIT_ADMISSION);
+        let n = txn.len();
+        let overlap = txn
+            .blocks()
+            .iter()
+            .filter(|(b, _)| self.index.contains_key(b))
+            .count();
+        let evictable = (self.index.len() - overlap).saturating_sub(self.mw_pinned_entries);
+        let available = self.free_blocks.free_count() + evictable;
+        if n > available {
+            return Err(TincaError::CacheExhausted {
+                needed: n,
+                available,
+            });
+        }
+        Ok(())
+    }
+
+    /// Allocates a spanning fragment's copy-on-write blocks ahead of its
+    /// prepare, under the meta phase's supply rule. No entry names them
+    /// until [`Self::mw_stage_meta_spanning`], so a crash in between leaves
+    /// them to recovery's free-block rebuild. On error none stays taken.
+    pub(crate) fn mw_alloc_fragment(&mut self, txn: &Txn) -> Result<Vec<u32>, TincaError> {
+        let _t = telemetry::span(telemetry::phase::RING_META);
+        self.mw_supply_check(txn)?;
+        let mut blocks = Vec::with_capacity(txn.len());
+        let _s = telemetry::span(telemetry::phase::COMMIT_STAGE);
+        for _ in 0..txn.len() {
+            match self.alloc_block() {
+                Ok(b) => blocks.push(b),
+                Err(e) => {
+                    self.mw_release_fragment(&blocks);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(blocks)
+    }
+
+    /// Returns blocks taken by [`Self::mw_alloc_fragment`] to the free
+    /// pool (a spanning commit refused before its prepare).
+    pub(crate) fn mw_release_fragment(&mut self, blocks: &[u32]) {
+        for &b in blocks {
+            self.free_blocks.release(b);
+        }
+    }
+
+    /// Per-block meta step of both window kinds: pins `new_blk`, stores
+    /// the log-role entry (line flush deferred to `entry_lines`) and the
+    /// ring slot `seq` tagged `tag`.
+    fn mw_meta_block(
+        &mut self,
+        meta: &mut MwStagedMeta,
+        seq: u64,
+        disk_blk: u64,
+        new_blk: u32,
+        tag: u8,
+        entry_lines: &mut Vec<usize>,
+    ) {
+        let mut pinned_blocks = std::mem::take(&mut meta.pinned_blocks);
+        self.mw_pin_block(new_blk, &mut pinned_blocks);
+        // (2) Log-role entry, one 16 B atomic store, line flush deferred.
+        let _e = telemetry::span(telemetry::phase::COMMIT_ENTRY);
+        let idx = match self.index.get(&disk_blk) {
+            Some(&idx) => {
+                let old = self.read_entry(idx);
+                debug_assert!(old.valid && old.disk_blk == disk_blk);
+                debug_assert_eq!(old.role, Role::Buffer);
+                if !old.modified {
+                    self.dirty_idx.insert(idx);
+                }
+                let prev = old.cur;
+                self.mw_pin_block(prev, &mut pinned_blocks);
+                meta.replaced_prevs.push(prev);
+                self.write_entry_unflushed(
+                    idx,
+                    CacheEntry::new(Role::Log, true, disk_blk, prev, new_blk),
+                );
+                self.stats.write_hits += 1;
+                idx
+            }
+            None => {
+                // Audited panic: one entry slot exists per data block,
+                // so a free block implies a free entry (see `commit`).
+                #[allow(clippy::disallowed_methods)]
+                let idx = self
+                    .free_entries
+                    .allocate()
+                    .expect("entry pool exhausts strictly after block pool");
+                self.write_entry_unflushed(
+                    idx,
+                    CacheEntry::new(Role::Log, true, disk_blk, FRESH, new_blk),
+                );
+                self.index.insert(disk_blk, idx);
+                self.lru.push_mru(idx);
+                self.dirty_idx.insert(idx);
+                self.stats.write_misses += 1;
+                idx
+            }
+        };
+        meta.pinned_blocks = pinned_blocks;
+        drop(_e);
+        entry_lines.push(self.layout.entry_addr(idx) / nvmsim::CACHE_LINE);
+        let mut pinned_entries = std::mem::take(&mut meta.pinned_entries);
+        self.mw_pin_entry(idx, &mut pinned_entries);
+        meta.pinned_entries = pinned_entries;
+        meta.touched.push(idx);
+        // (3) Ring slot: 8 B atomic store + line flush, fence deferred.
+        let _r = telemetry::span(telemetry::phase::COMMIT_RING);
+        let slot = self.layout.ring_slot_addr(seq);
+        self.nvm.atomic_write_u64(slot, slot_value(disk_blk, tag));
+        self.nvm.clflush(slot, 8);
+    }
+
+    /// Deferred entry flush: one clflush per *distinct* line, no fence.
+    fn mw_flush_entry_lines(&mut self, meta: &MwStagedMeta, mut entry_lines: Vec<usize>) {
         let _e = telemetry::span(telemetry::phase::COMMIT_ENTRY);
         entry_lines.sort_unstable();
         entry_lines.dedup();
@@ -676,7 +611,6 @@ impl TincaCache {
         for &line in &entry_lines {
             self.nvm.clflush(line * nvmsim::CACHE_LINE, 1);
         }
-        Ok(meta)
     }
 
     /// Seals a window whose meta phase failed after `processed` blocks:
@@ -730,17 +664,21 @@ impl TincaCache {
     /// The role switch and `Tail := end` follow, exactly as in the
     /// single-writer protocol.
     pub(crate) fn mw_sequence(&mut self, mut windows: Vec<MwStagedMeta>, max_ready_ns: u64) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
+        let _t = telemetry::span(telemetry::phase::RING_SEQUENCE);
         debug_assert!(!windows.is_empty());
         debug_assert_eq!(self.head, self.tail, "round must start at a closed ring");
         debug_assert_eq!(windows[0].start, self.head, "round must start at Head");
-        let old_tail = self.tail;
         let mut end = self.head;
         for w in &windows {
             debug_assert_eq!(w.start, end, "round windows must be contiguous");
             end = w.start + w.len;
         }
-        self.nvm.clock().advance_to(max_ready_ns);
+        {
+            // The round cannot start before the slowest writer finished
+            // staging and publishing on its private clock.
+            let _w = telemetry::span(telemetry::phase::RING_WAIT);
+            self.nvm.clock().advance_to(max_ready_ns);
+        }
         {
             // One fence + one Head move for the whole round.
             let _r = telemetry::span(telemetry::phase::COMMIT_RING);
@@ -763,9 +701,13 @@ impl TincaCache {
             self.nvm.persist(TAIL_OFF, 8);
             self.nvm.note_commit(TAIL_OFF, 8);
         }
-        // Retired windows' slots may carry dead tags; scrub them so the
-        // "no tags at rest" invariant (DESIGN §14) holds on this path too.
-        self.scrub_slot_tags(old_tail, end);
+        // A failed window's slots may carry dead or intent tags; scrub
+        // them so the "no tags at rest" invariant (DESIGN §14) holds on
+        // this path too. Every other window's meta phase stored untagged
+        // slots, so reading them back would only cost NVM reads.
+        for w in windows.iter().filter(|w| w.failed) {
+            self.scrub_slot_tags(w.start, w.start + w.len);
+        }
         let ok_windows = windows.iter().filter(|w| !w.failed).count() as u64;
         for w in &mut windows {
             self.mw_retire_desc(w.desc_slot);
@@ -794,21 +736,21 @@ impl TincaCache {
         self.maybe_destage();
     }
 
-    /// Spanning prepare on the lock-free path: the shard is quiesced (the
+    /// Spanning prepare: the shard is quiesced (the
     /// pool drains all windows and blocks new reservations first), so this
-    /// window is the only one outstanding. Fences, advances `Head` past
+    /// window is the only one outstanding and its payloads are already
+    /// staged. Fences, advances `Head` past
     /// the window and completes the role switch — but leaves `Tail` (and
     /// the `STAGED` descriptor) in place: recovery judges the window's
-    /// tagged slots by the spanning intent, exactly as on the mutex path.
-    pub(crate) fn mw_sequence_spanning(&mut self, meta: &MwStagedMeta, max_ready_ns: u64) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
+    /// tagged slots by the spanning intent.
+    pub(crate) fn mw_sequence_spanning(&mut self, meta: &MwStagedMeta) {
+        let _t = telemetry::span(telemetry::phase::RING_SEQUENCE);
         debug_assert!(!meta.failed);
         debug_assert_eq!(
             self.head, self.tail,
             "spanning prepare needs a quiesced shard"
         );
         debug_assert_eq!(meta.start, self.head);
-        self.nvm.clock().advance_to(max_ready_ns);
         let _r = telemetry::span(telemetry::phase::COMMIT_RING);
         self.nvm.sfence();
         self.head = meta.start + meta.len;
@@ -818,10 +760,13 @@ impl TincaCache {
         self.complete_role_switch(&meta.touched);
     }
 
-    /// Second phase of a resolved spanning commit on the lock-free path:
-    /// the shard-local commit point (`Tail := Head`), then the same
-    /// retirement as [`Self::complete_fragment`].
-    pub(crate) fn mw_complete_spanning(&mut self, mut meta: MwStagedMeta) {
+    /// Second phase of a resolved spanning commit of `fragments` batched
+    /// fragments: the shard-local commit
+    /// point (`Tail := Head`) — only called once the pool's intent record
+    /// is durably `RESOLVED`, so the store merely retires the revocation
+    /// window early — then the DRAM reclamation a sequencer round does
+    /// after its own commit point.
+    pub(crate) fn mw_complete_spanning(&mut self, mut meta: MwStagedMeta, fragments: u64) {
         let _t = telemetry::span(telemetry::phase::COMMIT);
         let window = (self.tail, self.head);
         {
@@ -846,28 +791,12 @@ impl TincaCache {
             self.lru.touch(idx);
         }
         self.mw_unpin(&meta.pinned_blocks, &meta.pinned_entries);
-        self.stats.commits += 1;
+        self.stats.commits += fragments;
         self.stats.committed_blocks += meta.blocks;
         self.stats.coalesced_writes += meta.coalesced;
-        self.stats.spanning_fragments += 1;
+        self.stats.spanning_fragments += fragments;
         drop(_t);
         self.maybe_destage();
-    }
-
-    /// Aborts a prepared spanning fragment on the lock-free path before
-    /// the intent resolves: revokes the staged entries and closes the ring
-    /// window, like [`Self::abort_fragment`].
-    pub(crate) fn mw_abort_spanning(&mut self, meta: MwStagedMeta) {
-        let _t = telemetry::span(telemetry::phase::COMMIT);
-        let window = (self.tail, self.head);
-        self.revoke_in_flight(&meta.touched);
-        self.scrub_slot_tags(window.0, window.1);
-        self.mw_retire_desc(meta.desc_slot);
-        // Same ordering requirement as `mw_complete_spanning`: the
-        // intent retire on shard 0 persists next.
-        self.nvm.sfence();
-        self.mw_unpin(&meta.pinned_blocks, &meta.pinned_entries);
-        self.stats.failed_commits += 1;
     }
 
     /// Steps 1–3 + per-block ring recording of the commit protocol.
@@ -1145,32 +1074,13 @@ impl TincaCache {
         }
     }
 
-    /// Writes `blk` to disk with the same transient-retry policy as
-    /// [`Self::disk_read_retry`].
+    /// One foreground write of `blk` under the transient-retry policy of
+    /// [`Self::disk_read_retry`]: a single-block attempt, then the shared
+    /// retry loop ([`Self::write_retry`]) if it fails.
     fn disk_write_retry(&mut self, blk: u64, buf: &[u8]) -> Result<(), IoError> {
-        let mut attempt = 1;
-        loop {
-            match self.disk.write_block(blk, buf) {
-                Ok(()) => {
-                    if attempt > 1 {
-                        self.stats.transient_errors_absorbed += 1;
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < self.cfg.max_io_retries => {
-                    attempt += 1;
-                    self.stats.io_retries += 1;
-                    self.nvm.clock().advance(self.cfg.retry_backoff_ns);
-                    telemetry::charge(
-                        telemetry::phase::IO_RETRY_BACKOFF,
-                        self.cfg.retry_backoff_ns,
-                    );
-                }
-                Err(e) => {
-                    self.stats.permanent_io_errors += 1;
-                    return Err(e);
-                }
-            }
+        match self.disk.write_block(blk, buf) {
+            Ok(()) => Ok(()),
+            Err(e) => self.write_retry(blk, buf, e, IoLane::Foreground).1,
         }
     }
 
@@ -1311,11 +1221,11 @@ impl TincaCache {
             let e = self.read_entry(idx);
             debug_assert!(e.valid && e.disk_blk == disk_blk);
             if e.role == Role::Log {
-                // Multi-writer path: the block is staged by an in-flight
+                // Pool path: the block is staged by an in-flight
                 // (uncommitted) window, so serve the pre-transaction
                 // snapshot — the previous version if one exists, else the
-                // disk copy. Unreachable on the mutex path, where the
-                // shard lock covers the whole commit.
+                // disk copy. Unreachable on a bare cache, whose `&mut`
+                // commit never lets a read see a log-role entry.
                 if e.prev != FRESH {
                     self.nvm.read(self.layout.data_addr(e.prev), buf);
                     self.lru.touch(idx);
@@ -1458,12 +1368,23 @@ impl TincaCache {
     /// Writes back every dirty cached block and marks it clean. Used at
     /// orderly shutdown and by verification harnesses.
     ///
-    /// Quarantined blocks are re-attempted (a replaced disk recovers
-    /// them). Errors are collected, not short-circuited: every dirty
-    /// block gets its flush attempt, then the first error is returned —
-    /// with [`Health`] reporting how much is still pinned in NVM.
+    /// The dirty set goes through the same address-sorted vectored
+    /// writeback as the destage daemon (`write_back`), on the
+    /// foreground lane and in ascending disk-block order across batches,
+    /// so the write order — and with it HDD seek time
+    /// and any op-order fault plan — is a function of the cache contents
+    /// alone. Quarantined blocks are re-attempted (a replaced disk
+    /// recovers them). Errors are collected, not short-circuited: every
+    /// dirty block gets its flush attempt, then the first error is
+    /// returned — with [`Health`] reporting how much is still pinned in
+    /// NVM.
     pub fn flush_all(&mut self) -> Result<(), TincaError> {
-        if self.head != self.tail {
+        // An open ring, or a pool window past its meta phase (log-role
+        // entries pinned, payloads possibly not staged yet), is a commit
+        // in flight: writing its blocks back would publish uncommitted
+        // data. Checked here, under the cache lock every window's meta
+        // phase runs under, so no reservation can slip in between.
+        if self.head != self.tail || self.mw_pinned_entries != 0 {
             return Err(TincaError::CommitInProgress {
                 head: self.head,
                 tail: self.tail,
@@ -1474,37 +1395,137 @@ impl TincaCache {
         // flight on the background lane completes (its entries are
         // already clean; the foreground clock catches up to the lane).
         self.drain_destage_lane();
-        let mut buf = [0u8; BLOCK_SIZE];
-        let mut first_err = Ok(());
-        let idxs: Vec<u32> = self.index.values().copied().collect();
-        for idx in idxs {
-            let e = self.read_entry(idx);
-            if e.valid && e.modified {
-                let _w = telemetry::span(telemetry::phase::CACHE_WRITEBACK);
-                self.nvm.read(self.layout.data_addr(e.cur), &mut buf);
-                match self.disk_write_retry(e.disk_blk, &buf) {
-                    Ok(()) => {
-                        self.stats.writebacks += 1;
-                        self.write_entry(
-                            idx,
-                            CacheEntry {
-                                modified: false,
-                                ..e
-                            },
-                        );
-                        self.quarantined.remove(&idx);
-                        self.dirty_idx.remove(&idx);
-                    }
-                    Err(err) => {
-                        self.quarantine(idx);
-                        if first_err.is_ok() {
-                            first_err = Err(TincaError::Io(err));
-                        }
-                    }
+        let mut idxs: Vec<u32> = self.dirty_idx.iter().copied().collect();
+        idxs.sort_unstable();
+        let mut victims: Vec<(u32, CacheEntry)> = idxs
+            .into_iter()
+            .map(|idx| (idx, self.read_entry(idx)))
+            .filter(|(_, e)| e.valid && e.modified)
+            .collect();
+        victims.sort_unstable_by_key(|&(_, e)| e.disk_blk);
+        // Batches of `destage_batch` bound the payload staging buffer as
+        // for the daemon; the device keeps its head position across
+        // batches, so an HDD prices the sorted stream the same either way.
+        let mut first_err = None;
+        for batch in victims.chunks(self.cfg.destage_batch.max(1)) {
+            let _w = telemetry::span(telemetry::phase::CACHE_WRITEBACK);
+            let outcome = self.write_back(batch.to_vec(), IoLane::Foreground);
+            first_err = first_err.or(outcome.first_err);
+        }
+        first_err.map_or(Ok(()), |e| Err(TincaError::Io(e)))
+    }
+
+    /// The one writeback path, shared by the destage daemon and
+    /// [`Self::flush_all`]: address-sorts `victims` so contiguous runs
+    /// stream after one seek, issues one vectored
+    /// [`BlockDevice::write_blocks`] on `lane`, retries each failed
+    /// request on its own ([`Self::write_retry`]), then marks every
+    /// written block clean — a real entry write on the foreground clock,
+    /// so metadata cost is never hidden — or quarantines it.
+    ///
+    /// Payloads are read from the persistent NVM image on the background
+    /// lane (the daemon's bookkeeping must not bill NVM latency to the
+    /// foreground clock) and through the charged read path on the
+    /// foreground lane.
+    fn write_back(&mut self, mut victims: Vec<(u32, CacheEntry)>, lane: IoLane) -> WriteBack {
+        victims.sort_unstable_by_key(|&(_, e)| e.disk_blk);
+        let payloads: Vec<Vec<u8>> = victims
+            .iter()
+            .map(|&(_, e)| {
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                let addr = self.layout.data_addr(e.cur);
+                match lane {
+                    IoLane::Background => self.nvm.read_persistent(addr, &mut buf),
+                    IoLane::Foreground => self.nvm.read(addr, &mut buf),
+                }
+                buf
+            })
+            .collect();
+        let reqs: Vec<(u64, &[u8])> = victims
+            .iter()
+            .zip(&payloads)
+            .map(|(&(_, e), p)| (e.disk_blk, &p[..]))
+            .collect();
+        let report = self.disk.write_blocks(&reqs, lane);
+        drop(reqs);
+        let mut out = WriteBack {
+            lane_ns: report.device_ns,
+            cleaned: 0,
+            first_err: None,
+        };
+        let failed: HashMap<usize, IoError> = report.errors.into_iter().collect();
+        for (pos, &(idx, e)) in victims.iter().enumerate() {
+            let res = match failed.get(&pos) {
+                None => Ok(()),
+                Some(&err) => {
+                    let (extra, res) = self.write_retry(e.disk_blk, &payloads[pos], err, lane);
+                    out.lane_ns += extra;
+                    res
+                }
+            };
+            match res {
+                Ok(()) => {
+                    self.write_entry(
+                        idx,
+                        CacheEntry {
+                            modified: false,
+                            ..e
+                        },
+                    );
+                    self.quarantined.remove(&idx);
+                    self.dirty_idx.remove(&idx);
+                    self.stats.writebacks += 1;
+                    out.cleaned += 1;
+                }
+                Err(err) => {
+                    self.quarantine(idx);
+                    out.first_err.get_or_insert(err);
                 }
             }
         }
-        first_err
+        out
+    }
+
+    /// The one disk-write retry loop, entered after a first attempt at
+    /// `blk` failed with `first` — a single foreground write
+    /// ([`Self::disk_write_retry`]) or one request of a vectored
+    /// [`Self::write_back`] batch. Each retry is a one-request vectored
+    /// write on `lane`. On the foreground lane backoff and device time
+    /// advance the clock; on the background lane they only extend the
+    /// lane deadline. Returns the lane time consumed and the outcome.
+    fn write_retry(
+        &mut self,
+        blk: u64,
+        buf: &[u8],
+        first: IoError,
+        lane: IoLane,
+    ) -> (u64, Result<(), IoError>) {
+        let mut lane_ns = 0u64;
+        let mut err = first;
+        let mut attempt = 1u32;
+        loop {
+            if !err.is_transient() || attempt >= self.cfg.max_io_retries {
+                self.stats.permanent_io_errors += 1;
+                return (lane_ns, Err(err));
+            }
+            attempt += 1;
+            self.stats.io_retries += 1;
+            let backoff = self.cfg.retry_backoff_ns;
+            lane_ns += backoff;
+            if lane == IoLane::Foreground {
+                self.nvm.clock().advance(backoff);
+                telemetry::charge(telemetry::phase::IO_RETRY_BACKOFF, backoff);
+            }
+            let r = self.disk.write_blocks(&[(blk, buf)], lane);
+            lane_ns += r.device_ns;
+            match r.errors.into_iter().next() {
+                None => {
+                    self.stats.transient_errors_absorbed += 1;
+                    return (lane_ns, Ok(()));
+                }
+                Some((_, e)) => err = e,
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1578,95 +1599,15 @@ impl TincaCache {
         if victims.is_empty() {
             return;
         }
-        // Address-sort: contiguous runs stream on the device after one
-        // seek (the point of batching).
-        victims.sort_unstable_by_key(|&(_, e)| e.disk_blk);
-        let payloads: Vec<Vec<u8>> = victims
-            .iter()
-            .map(|&(_, e)| {
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                self.nvm
-                    .read_persistent(self.layout.data_addr(e.cur), &mut buf);
-                buf
-            })
-            .collect();
-        let reqs: Vec<(u64, &[u8])> = victims
-            .iter()
-            .zip(&payloads)
-            .map(|(&(_, e), p)| (e.disk_blk, &p[..]))
-            .collect();
-        let report = self.disk.write_blocks(&reqs, IoLane::Background);
-        drop(reqs);
-        let mut lane_ns = report.device_ns;
+        let outcome = self.write_back(victims, IoLane::Background);
+        let lane_ns = outcome.lane_ns;
         self.stats.destage_batches += 1;
-        let failed: HashMap<usize, IoError> = report.errors.into_iter().collect();
-        for (pos, &(idx, e)) in victims.iter().enumerate() {
-            let res = match failed.get(&pos) {
-                None => Ok(()),
-                Some(&err) => {
-                    let (extra, res) = self.destage_retry(e.disk_blk, &payloads[pos], err);
-                    lane_ns += extra;
-                    res
-                }
-            };
-            match res {
-                Ok(()) => {
-                    // Same persistence discipline as the eviction path:
-                    // the clean mark is a real entry write on the
-                    // foreground clock (metadata cost is not hidden).
-                    self.write_entry(
-                        idx,
-                        CacheEntry {
-                            modified: false,
-                            ..e
-                        },
-                    );
-                    self.quarantined.remove(&idx);
-                    self.dirty_idx.remove(&idx);
-                    self.stats.writebacks += 1;
-                    self.stats.destage_blocks += 1;
-                }
-                Err(_) => self.quarantine(idx),
-            }
-        }
+        self.stats.destage_blocks += outcome.cleaned;
         self.destage_lane_free_ns = now + lane_ns;
         // Busy-lane time, deliberately charged without a clock advance:
         // the phase report shows overlapped device time next to the
         // foreground phases (see DESIGN.md §11).
         telemetry::charge(telemetry::phase::DESTAGE_WRITEBACK, lane_ns);
-    }
-
-    /// Background-lane retry loop for one failed destage request. Mirrors
-    /// [`Self::disk_write_retry`]'s counting exactly, but backoff and
-    /// device time extend the lane deadline instead of stalling the
-    /// foreground clock. Returns the lane time consumed and the outcome.
-    fn destage_retry(
-        &mut self,
-        blk: u64,
-        buf: &[u8],
-        first: IoError,
-    ) -> (u64, Result<(), IoError>) {
-        let mut lane_ns = 0u64;
-        let mut err = first;
-        let mut attempt = 1u32;
-        loop {
-            if !err.is_transient() || attempt >= self.cfg.max_io_retries {
-                self.stats.permanent_io_errors += 1;
-                return (lane_ns, Err(err));
-            }
-            attempt += 1;
-            self.stats.io_retries += 1;
-            lane_ns += self.cfg.retry_backoff_ns;
-            let r = self.disk.write_blocks(&[(blk, buf)], IoLane::Background);
-            lane_ns += r.device_ns;
-            match r.errors.into_iter().next() {
-                None => {
-                    self.stats.transient_errors_absorbed += 1;
-                    return (lane_ns, Ok(()));
-                }
-                Some((_, e)) => err = e,
-            }
-        }
     }
 
     /// Stalls the foreground clock until the background destage lane is

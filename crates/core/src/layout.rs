@@ -66,10 +66,10 @@ pub fn intent_tag(intent_id: u64) -> u8 {
 }
 
 /// Byte offset of the **multi-writer window descriptor table**: one cache
-/// line per descriptor, used only when the pool runs the lock-free commit
-/// path ([`crate::CommitMode::LockFreeRing`]). Formatting never touches
-/// this region, so an all-zero table means "no window in flight" on fresh,
-/// legacy, and mutex-mode regions alike.
+/// line per descriptor, written by the pool's commit pipeline
+/// ([`crate::TincaPool`]; a bare cache never uses it). Formatting never
+/// touches this region, so an all-zero table means "no window in flight"
+/// on fresh regions and on regions only a bare cache ever committed to.
 pub const MW_DESC_OFF: usize = 256;
 /// Number of window descriptors (bounds in-flight windows per shard).
 pub const MW_WINDOWS: usize = 32;

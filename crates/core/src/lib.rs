@@ -60,7 +60,7 @@ pub use config::{TincaConfig, WritePolicy};
 pub use entry::{CacheEntry, Role, FRESH};
 pub use error::TincaError;
 pub use layout::{intent_tag, split_slot, Layout};
-pub use mwring::{CommitMode, MwAdmission, MwTicket};
+pub use mwring::{MwAdmission, MwTicket};
 pub use pool::{PoolConfig, TincaPool};
 pub use recovery::SpanningIntent;
 pub use snapshot::StatsSnapshot;

@@ -1,18 +1,21 @@
-//! Pool-side state of the **multi-writer lock-free commit path**
-//! (DESIGN §16).
+//! Pool-side state of the **ring commit pipeline** (DESIGN §16), the
+//! one protocol [`TincaPool`](crate::TincaPool) commits with.
 //!
-//! In [`CommitMode::LockFreeRing`] a shard's writers no longer serialise
-//! the whole commit behind the cache mutex. Instead each writer:
+//! A shard's writers do not serialise the whole commit behind the cache
+//! mutex. Instead each writer:
 //!
-//! 1. **reserves** a contiguous ring-slot window by CAS-advancing the
-//!    shard's reservation cursor (after claiming its disk blocks in the
-//!    conflict-admission set, so concurrent windows never touch the same
-//!    block),
+//! 1. **reserves** a contiguous ring-slot window: in one critical section
+//!    of the shard's [`MwState`] lock it claims its disk blocks in the
+//!    conflict-admission set (so concurrent windows never touch the same
+//!    block), takes a free descriptor slot, advances the reservation
+//!    cursor and registers the window — so windows are registered in
+//!    exactly their ring order and no reservation is ever invisible to
+//!    the sequencer, a quiesce or a flush,
 //! 2. runs a short **latched meta phase** under the cache lock — block
 //!    allocation, log-role entry stores, ring-slot stores, the `RESERVED`
 //!    descriptor — everything flushed, nothing fenced,
 //! 3. **stages** its payloads concurrently, outside any lock, on a private
-//!    clock (the overlap the mutex path could never express),
+//!    clock,
 //! 4. **publishes** the window with one 8 B release-store flipping the
 //!    descriptor state word to `STAGED`, and
 //! 5. the thread completing the lowest outstanding window becomes the
@@ -25,25 +28,11 @@
 //! modules, and recovery's resume-or-roll-back rule in `recovery.rs`.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Condvar, Mutex as StdMutex};
 
 use crate::cache::MwStagedMeta;
+use crate::layout::MW_WINDOWS;
 use crate::txn::BlockBuf;
 use crate::Txn;
-
-/// How a pool serialises intra-shard commits.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommitMode {
-    /// The classic path: one mutex per shard, leader/follower group
-    /// commit. Bit-for-bit identical to previous releases.
-    #[default]
-    MutexGroup,
-    /// The multi-writer ring pipeline (module docs): lock-free window
-    /// reservation, concurrent staging, sequencer-combined `Head`
-    /// advance. Requires `WritePolicy::WriteBack` and the role switch.
-    LockFreeRing,
-}
 
 /// One in-flight window in a shard's reservation order.
 pub(crate) struct MwWindow {
@@ -65,16 +54,23 @@ pub(crate) struct MwWindow {
     pub(crate) meta: Option<MwStagedMeta>,
 }
 
-/// DRAM coordination state of one shard's multi-writer pipeline,
-/// protected by [`MwShard::state`].
+/// DRAM coordination state of one shard's commit pipeline. Every field
+/// is read and written under one mutex, so a reservation (credit,
+/// cursor, conflict claim, registration) is a single atomic step.
 pub(crate) struct MwState {
+    /// Next unreserved ring sequence number.
+    pub(crate) cursor: u64,
+    /// Reservation bound: `Tail + ring_cap`, republished by the sequencer
+    /// after each round. A reservation `[cursor, cursor+n)` with
+    /// `cursor + n <= ring_limit` can never collide with a live slot.
+    pub(crate) ring_limit: u64,
     /// Outstanding windows in reservation (ring) order.
     pub(crate) windows: VecDeque<MwWindow>,
     /// Disk blocks owned by outstanding windows (conflict admission:
     /// a transaction touching any of these waits *before* reserving, so
     /// blocked writers never hold ring slots).
     pub(crate) in_flight: HashSet<u64>,
-    /// Free descriptor-table slots.
+    /// Free descriptor-table slots; an empty list refuses admission.
     pub(crate) free_desc: Vec<usize>,
     /// Next window ordinal.
     pub(crate) next_ordinal: u64,
@@ -86,52 +82,35 @@ pub(crate) struct MwState {
     pub(crate) waiting: HashSet<u64>,
     /// Retired ordinals from `waiting` (consumed by the waiter).
     pub(crate) retired: HashSet<u64>,
-    /// Reservation-CAS retries not yet folded into the cache stats.
-    pub(crate) pending_cas_retries: u64,
     /// Sequencer handoffs not yet folded into the cache stats.
     pub(crate) pending_handoffs: u64,
 }
 
-/// Per-shard multi-writer pipeline: lock-free reservation atomics plus the
-/// mutex-protected DRAM bookkeeping. Constructed for every shard (cheap);
-/// only used when the pool runs [`CommitMode::LockFreeRing`].
-pub(crate) struct MwShard {
-    /// Next unreserved ring sequence number (fetch-add/CAS reservation).
-    pub(crate) cursor: AtomicU64,
-    /// Reservation bound: `Tail + ring_cap`, republished by the sequencer
-    /// after each round. A reservation `[cur, cur+n)` with
-    /// `cur + n <= limit` can never collide with a live slot.
-    pub(crate) ring_limit: AtomicU64,
-    /// Descriptor-table credits (CAS-decremented before picking a slot).
-    pub(crate) slots_avail: AtomicU64,
-    pub(crate) state: StdMutex<MwState>,
-    pub(crate) cv: Condvar,
-}
-
-impl MwShard {
-    pub(crate) fn new(head: u64, ring_cap: u64) -> MwShard {
-        MwShard {
-            cursor: AtomicU64::new(head),
-            ring_limit: AtomicU64::new(head + ring_cap),
-            slots_avail: AtomicU64::new(crate::layout::MW_WINDOWS as u64),
-            state: StdMutex::new(MwState {
-                windows: VecDeque::new(),
-                in_flight: HashSet::new(),
-                free_desc: (0..crate::layout::MW_WINDOWS).collect(),
-                next_ordinal: 0,
-                sequencing: false,
-                spanning_open: false,
-                waiting: HashSet::new(),
-                retired: HashSet::new(),
-                pending_cas_retries: 0,
-                pending_handoffs: 0,
-            }),
-            cv: Condvar::new(),
+impl MwState {
+    /// Pipeline state for a shard whose ring is closed at `head`.
+    pub(crate) fn new(head: u64, ring_cap: u64) -> MwState {
+        MwState {
+            cursor: head,
+            ring_limit: head + ring_cap,
+            windows: VecDeque::new(),
+            in_flight: HashSet::new(),
+            free_desc: (0..MW_WINDOWS).collect(),
+            next_ordinal: 0,
+            sequencing: false,
+            spanning_open: false,
+            waiting: HashSet::new(),
+            retired: HashSet::new(),
+            pending_handoffs: 0,
         }
+    }
+
+    /// True when no window is outstanding and no round is running.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.windows.is_empty() && !self.sequencing
     }
 }
 
-/// A reserved multi-writer window, held by its writer between
+/// A reserved window, held by its writer between
 /// [`TincaPool::mw_try_begin`](crate::TincaPool::mw_try_begin) and
 /// [`TincaPool::mw_publish`](crate::TincaPool::mw_publish). The meta phase
 /// has already run; the remaining steps — staging the payloads and
@@ -159,7 +138,7 @@ impl MwTicket {
     }
 }
 
-/// Outcome of a non-blocking multi-writer admission attempt.
+/// Outcome of a non-blocking admission attempt.
 pub enum MwAdmission {
     /// The window is reserved and its meta phase has run; stage and
     /// publish the returned ticket.

@@ -6,80 +6,87 @@
 //! a complete `TincaCache` on its own NVM device region (disjoint
 //! [`Layout`](crate::Layout)s, own `Head`/`Tail` ring, own entry table) —
 //! and routes disk block `b` to shard `b % N`. Because every commit point
-//! is still a single 8-byte `Tail` store *within one shard's region*, the
+//! is still a single 8-byte store *within one shard's region*, the
 //! paper's single-commit-point crash argument holds per shard unchanged.
 //!
-//! ## Group commit
+//! ## Commit pipeline and group commit
 //!
-//! Transactions queued on the same shard while a commit is in flight are
-//! batched: the first arrival becomes the *leader*, drains the queue (up
-//! to the shard's ring capacity), folds the batch into one committing
-//! transaction ([`Txn::absorb`] — buffers moved, later writers win) and
-//! drives **one** ring commit — one `Tail` store + fence for the whole
-//! batch, exactly how JBD2 amortises fsyncs into a compound transaction.
-//! Followers block on the shard's condition variable and receive the
-//! group's result.
+//! Every commit runs the shard's ring pipeline (DESIGN §16; the steps are
+//! described in the `mwring` module). A writer **reserves** a window of
+//! ring slots — conflict claim, descriptor slot, cursor advance and
+//! window registration in one critical section of the shard's pipeline
+//! lock — runs a short **meta** phase under the cache lock, **stages**
+//! its payloads on a private clock outside any lock, and **publishes**
+//! the window with one 8 B descriptor store. The thread that finds the
+//! lowest outstanding window published becomes the **sequencer**: one
+//! fence and one `Head` store retire the maximal contiguous prefix of
+//! published windows. That is group commit: windows published while a
+//! round is in flight ride the next round together and share its fence
+//! and commit point, the way JBD2 amortises fsyncs into a compound
+//! transaction. [`CacheStats::group_commits`] counts rounds that retired
+//! more than one window, [`CacheStats::batched_txns`] the windows in
+//! them, and [`CacheStats::commits`] every committed transaction.
 //!
-//! With `N = 1` and a single thread, every batch has exactly one member
-//! and the pool is bit-for-bit identical to a bare `TincaCache`: same NVM
-//! stores, flushes, fences, simulated time, and statistics.
+//! A single writer has one window in flight at a time, so its commits
+//! run the same steps back to back. With `N = 1` the pool is logically
+//! equivalent to a bare `TincaCache` — same read-back, same recovered
+//! contents, same cache statistics apart from the descriptor traffic —
+//! but not bit-for-bit: the window descriptor and the separate
+//! `Head`/`Tail` stores add NVM events.
 //!
 //! ## Atomicity scope
 //!
 //! **Every** transaction commits all-or-nothing across any crash or I/O
 //! fault — including transactions whose blocks span shards. A
 //! single-shard transaction (always the case for `N = 1`, and for
-//! block-aligned workloads like Fio 4 KB requests) takes the unchanged
-//! fast path: one shard's ring commit, group-committed with its
-//! neighbours, not a single extra store, flush, or fence.
+//! block-aligned workloads like Fio 4 KB requests) is one window on its
+//! home shard's ring.
 //!
-//! A **spanning** transaction runs a persistent two-phase commit:
+//! A **spanning** transaction first stages each fragment outside any
+//! commit lock — copy-on-write blocks allocated under the participant's
+//! cache lock, payloads written on a private clock, no entry naming them
+//! yet — then commits in a **batch** with every other staged spanning
+//! transaction ahead of it, through a persistent two-phase commit
+//! (DESIGN §14):
 //!
 //! 1. **Publish.** A one-cache-line *spanning-intent record* (sequence id
 //!    plus participant shard bitmap, at the layout module's `INTENT_OFF` on
 //!    shard 0's device) is written and fenced *before* any fragment. While
 //!    the record reads `PREPARED`, recovery rolls every tagged fragment
 //!    back.
-//! 2. **Prepare.** Each participant shard stages its fragment with the
-//!    full commit protocol — COW payload writes, entry updates, ring
-//!    slots tagged with the intent id in their top byte, `Head` move,
-//!    role switch — but **its `Tail` does not move**: the shard's ring
-//!    window stays open, so the fragment is durable yet still revocable.
-//!    A fragment failure aborts: prepared fragments are revoked, later
-//!    fragments are never attempted, the intent is retired, and nothing
-//!    of the transaction survives recovery.
+//! 2. **Prepare.** Each participant shard is quiesced (outstanding windows
+//!    drained, new reservations held off) and commits the batch's
+//!    fragments on it as one window — ring slots tagged with the intent
+//!    id, a spanning-flagged descriptor, `Head` move, role switch — but
+//!    **its `Tail` does not move**, so they stay revocable.
 //! 3. **Resolve.** One 8 B atomic store flips the record to `RESOLVED`
-//!    and is fenced: this single store is the transaction's commit point.
-//!    Every fragment was fenced-durable before it, so recovery now rolls
-//!    all of them *forward*. Each shard's `Tail` then moves (retiring its
-//!    revocation window), and the record is retired.
+//!    and is fenced: the batch's commit point. Each shard's `Tail` then
+//!    moves, and the record is retired.
 //!
 //! Recovery ([`TincaPool::recover`]) reads the record first and hands
 //! every shard the same [`SpanningIntent`] directive, so all shards roll
-//! the same direction exactly once; the record is cleared only after
-//! every shard recovered, which makes a crash *during* recovery repeat
-//! the same decision. Spanning commits serialise on one pool-level mutex
-//! (the record has a single slot) and lock shard 0 plus the participants
-//! in ascending index order, so they cannot deadlock with each other or
-//! with single-shard commits.
+//! the same direction exactly once. One batch runs at a time (the record
+//! has one slot); its leader quiesces the participants and locks shard 0
+//! plus the participants in ascending order, so batches cannot deadlock
+//! with single-shard commits (which never wait while holding a lock).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdGuard, PoisonError};
 
 use blockdev::BLOCK_SIZE;
 use nvmsim::Nvm;
 use parking_lot::Mutex;
 
-use crate::cache::{DynDisk, MwStagedMeta, PreparedFragment};
+use crate::cache::{DynDisk, MwStagedMeta};
 use crate::layout::{
     intent_tag, mw_desc_addr, mw_state_word, INTENT_OFF, INTENT_SHARDS_OFF, INTENT_STATE_OFF,
     MW_STAGED, MW_WINDOWS,
 };
-use crate::mwring::{CommitMode, MwAdmission, MwShard, MwState, MwTicket, MwWindow};
+use crate::mwring::{MwAdmission, MwState, MwTicket, MwWindow};
 use crate::{
-    CacheStats, Health, SpanningIntent, TincaCache, TincaConfig, TincaError, Txn, WritePolicy,
+    BlockBuf, CacheStats, Health, SpanningIntent, TincaCache, TincaConfig, TincaError, Txn,
+    WritePolicy,
 };
 
 /// Configuration for a [`TincaPool`].
@@ -87,14 +94,9 @@ use crate::{
 pub struct PoolConfig {
     /// Number of shards (NVM sub-regions / independent commit rings).
     pub shards: usize,
-    /// Maximum transactions folded into one group commit.
-    pub max_batch_txns: usize,
-    /// How intra-shard commits are serialised; see [`CommitMode`]. The
-    /// default (`MutexGroup`) is bit-for-bit the classic path;
-    /// `LockFreeRing` enables the multi-writer pipeline (DESIGN §16) and
-    /// requires write-back policy with the role switch.
-    pub commit_mode: CommitMode,
-    /// Per-shard cache configuration.
+    /// Per-shard cache configuration. The ring pipeline stages payloads
+    /// outside the cache lock and completes commits in sequencer rounds,
+    /// so it requires write-back policy with the role switch.
     pub cache: TincaConfig,
 }
 
@@ -102,58 +104,41 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             shards: 1,
-            max_batch_txns: 64,
-            commit_mode: CommitMode::MutexGroup,
             cache: TincaConfig::default(),
         }
     }
-}
-
-impl PoolConfig {
-    /// `n`-shard pool with default cache knobs.
-    pub fn with_shards(n: usize) -> Self {
-        PoolConfig {
-            shards: n,
-            ..Default::default()
-        }
-    }
-}
-
-/// Group-commit queue state of one shard.
-struct GcState {
-    next_ticket: u64,
-    queue: VecDeque<(u64, Txn)>,
-    results: HashMap<u64, Result<(), TincaError>>,
-    leader: bool,
 }
 
 /// Sync-object ids this pool annotates on each shard's NVM trace, namespaced
 /// `shard_index * SYNC_STRIDE + kind` so a merged multi-shard trace
 /// ([`nvmsim::merge_shard_traces`]) never conflates two shards' locks.
 const SYNC_STRIDE: u64 = 16;
-/// The shard's cache mutex — serialises commits, reads, flushes, and the
-/// inline destage daemon (which runs under this same lock).
+/// The shard's cache mutex — serialises meta phases, sequencer rounds,
+/// reads, flushes, and the inline destage daemon (which runs under this
+/// same lock).
 const SYNC_CACHE_MUTEX: u64 = 0;
-/// The group-commit result handoff: the leader release-publishes the
-/// batch's results, each follower acquire-consumes its own.
-const SYNC_GC_PUBLISH: u64 = 1;
-/// The multi-writer window publication: each writer release-publishes its
-/// `STAGED` descriptor store, the sequencer acquire-consumes the round's
-/// windows before its drain fence.
-const SYNC_MW_PUBLISH: u64 = 2;
+/// The window publication: each writer release-publishes its `STAGED`
+/// descriptor store, the sequencer acquire-consumes the round's windows
+/// before its drain fence.
+const SYNC_MW_PUBLISH: u64 = 1;
+/// A spanning transaction's hand-off to the batch leader: the writer
+/// release-publishes on every participant's device once its fragments are
+/// staged, the leader acquire-consumes before its prepare fences.
+const SYNC_SPAN_PUBLISH: u64 = 2;
 
 struct Shard {
     cache: Mutex<TincaCache>,
-    gc: StdMutex<GcState>,
-    cv: Condvar,
-    /// Ring slots of this shard's layout (bounds one merged batch).
+    /// Ring slots of this shard's layout (bounds one window).
     ring_slots: usize,
     /// This shard's NVM device, for sync-event trace annotations.
     nvm: Nvm,
     /// First sync-object id of this shard's namespace.
     sync_base: u64,
-    /// Multi-writer pipeline state (used only in `LockFreeRing` mode).
-    mw: MwShard,
+    /// Commit-pipeline coordination state.
+    mw: StdMutex<MwState>,
+    /// Signalled whenever a window publishes or retires, or a spanning
+    /// quiesce lifts.
+    cv: Condvar,
 }
 
 /// Cache-mutex guard that annotates acquisition and release as sync events
@@ -200,26 +185,31 @@ impl Shard {
             obj,
         }
     }
-}
 
-fn lock_gc<'a>(sh: &'a Shard) -> StdGuard<'a, GcState> {
-    sh.gc.lock().unwrap_or_else(PoisonError::into_inner)
-}
+    /// Locks the pipeline state. Poison-tolerant: a simulated crash panic
+    /// mid-commit must not strand surviving threads.
+    fn lock_mw(&self) -> StdGuard<'_, MwState> {
+        self.mw.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-fn lock_mw<'a>(sh: &'a Shard) -> StdGuard<'a, MwState> {
-    sh.mw.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Parks on the pipeline condvar (releasing `mw`) until a window
+    /// publishes or retires, or a spanning quiesce lifts.
+    fn wait(&self, mw: StdGuard<'_, MwState>) {
+        let _w = telemetry::span(telemetry::phase::RING_WAIT);
+        drop(self.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
+    }
 }
 
 /// Sharded multi-threaded front-end; see the module docs.
 pub struct TincaPool {
     shards: Vec<Shard>,
-    max_batch_txns: usize,
-    commit_mode: CommitMode,
-    /// Serialises spanning commits (the persistent intent record has one
-    /// slot) and hands out intent sequence ids. Poison-tolerant like the
-    /// gc mutexes: a simulated crash panic mid-commit must not strand
-    /// surviving threads.
-    spanning: StdMutex<u64>,
+    /// Spanning group-commit state: staged spanning transactions waiting
+    /// for a batch, the active-leader flag (the persistent intent record
+    /// has one slot, so one batch runs at a time) and intent sequence
+    /// ids. Poison-tolerant like the pipeline mutexes.
+    spanning: StdMutex<SpanState>,
+    /// Signalled when a spanning batch retires.
+    spanning_cv: Condvar,
 }
 
 impl TincaPool {
@@ -227,13 +217,7 @@ impl TincaPool {
     /// `devices[i]` becomes shard `i`; all shards share the backing disk
     /// (their disk-block sets are disjoint by routing).
     pub fn format(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Self {
-        assert_eq!(
-            devices.len(),
-            cfg.shards,
-            "one NVM device per shard required"
-        );
-        assert!(cfg.shards >= 1, "pool needs at least one shard");
-        Self::check_mode(&cfg);
+        Self::check_config(&devices, &cfg);
         let shards = devices
             .into_iter()
             .enumerate()
@@ -243,27 +227,28 @@ impl TincaPool {
             .collect();
         TincaPool {
             shards,
-            max_batch_txns: cfg.max_batch_txns.max(1),
-            commit_mode: cfg.commit_mode,
-            spanning: StdMutex::new(0),
+            spanning: StdMutex::new(SpanState::default()),
+            spanning_cv: Condvar::new(),
         }
     }
 
-    /// The lock-free path stages payloads outside the cache lock and
-    /// completes commits in sequencer rounds; write-through completion
-    /// and the double-write ablation are mutex-path-only features.
-    fn check_mode(cfg: &PoolConfig) {
-        if cfg.commit_mode == CommitMode::LockFreeRing {
-            assert_eq!(
-                cfg.cache.write_policy,
-                WritePolicy::WriteBack,
-                "CommitMode::LockFreeRing requires WritePolicy::WriteBack"
-            );
-            assert!(
-                cfg.cache.role_switch,
-                "CommitMode::LockFreeRing requires the role switch"
-            );
-        }
+    /// One device per shard, at least one shard, and a cache policy the
+    /// ring pipeline supports: it stages payloads outside the cache lock
+    /// and completes commits in sequencer rounds, so write-through
+    /// completion and the double-write ablation are bare-cache features.
+    fn check_config(devices: &[Nvm], cfg: &PoolConfig) {
+        assert_eq!(
+            devices.len(),
+            cfg.shards,
+            "one NVM device per shard required"
+        );
+        assert!(cfg.shards >= 1, "pool needs at least one shard");
+        assert_eq!(
+            cfg.cache.write_policy,
+            WritePolicy::WriteBack,
+            "TincaPool requires WritePolicy::WriteBack"
+        );
+        assert!(cfg.cache.role_switch, "TincaPool requires the role switch");
     }
 
     /// Recovers every shard from its NVM region after a crash or clean
@@ -273,15 +258,9 @@ impl TincaPool {
     /// transaction rolls the same direction on every shard; the record is
     /// retired only once every shard has recovered.
     pub fn recover(devices: Vec<Nvm>, disk: DynDisk, cfg: PoolConfig) -> Result<Self, TincaError> {
-        assert_eq!(
-            devices.len(),
-            cfg.shards,
-            "one NVM device per shard required"
-        );
-        assert!(cfg.shards >= 1, "pool needs at least one shard");
-        Self::check_mode(&cfg);
+        Self::check_config(&devices, &cfg);
         // Single-shard pools never write the record; skipping the read
-        // keeps `N = 1` recovery bit-for-bit identical to a bare cache.
+        // keeps `N = 1` recovery identical to a bare cache's.
         let intent = if cfg.shards > 1 {
             SpanningIntent::decode(devices[0].read_u64(INTENT_STATE_OFF))
         } else {
@@ -311,9 +290,8 @@ impl TincaPool {
         }
         Ok(TincaPool {
             shards,
-            max_batch_txns: cfg.max_batch_txns.max(1),
-            commit_mode: cfg.commit_mode,
-            spanning: StdMutex::new(0),
+            spanning: StdMutex::new(SpanState::default()),
+            spanning_cv: Condvar::new(),
         })
     }
 
@@ -323,17 +301,11 @@ impl TincaPool {
         let (head, _tail) = cache.head_tail();
         Shard {
             cache: Mutex::new(cache),
-            gc: StdMutex::new(GcState {
-                next_ticket: 0,
-                queue: VecDeque::new(),
-                results: HashMap::new(),
-                leader: false,
-            }),
-            cv: Condvar::new(),
             ring_slots,
             nvm,
             sync_base: index as u64 * SYNC_STRIDE,
-            mw: MwShard::new(head, ring_slots as u64),
+            mw: StdMutex::new(MwState::new(head, ring_slots as u64)),
+            cv: Condvar::new(),
         }
     }
 
@@ -379,263 +351,25 @@ impl TincaPool {
     }
 
     /// Commits `txn` atomically. Single-shard transactions (all blocks
-    /// route to one shard — always true for `N = 1`) may be group-
-    /// committed with concurrent transactions on the same shard. Spanning
-    /// transactions run the two-phase intent protocol (module docs):
-    /// all-or-nothing across every shard, and on error — a fragment
-    /// rejected mid-sequence — nothing of the transaction stays durable.
+    /// route to one shard — always true for `N = 1`) run one window
+    /// through the shard's ring pipeline and may share a sequencer round
+    /// with concurrent writers. Spanning transactions run the two-phase
+    /// intent protocol (module docs): all-or-nothing across every shard,
+    /// and on error — a fragment rejected mid-sequence — nothing of the
+    /// transaction stays durable.
     pub fn commit(&self, txn: Txn) -> Result<(), TincaError> {
         if txn.is_empty() {
             return Ok(());
         }
-        if self.commit_mode == CommitMode::LockFreeRing {
-            return match self.home_shard(&txn) {
-                Some(s) => self.commit_on_shard_mw(s, txn),
-                None => self.commit_spanning_mw(txn),
-            };
-        }
-        if self.shards.len() == 1 {
-            return self.commit_on_shard(0, txn);
-        }
         match self.home_shard(&txn) {
-            Some(s) => self.commit_on_shard(s, txn),
-            None => self.commit_spanning(txn),
+            Some(s) => self.commit_single_shard(s, txn),
+            None => self.commit_cross_shard(txn),
         }
     }
 
-    /// Two-phase spanning commit (module docs): publish the intent
-    /// record, prepare one tagged fragment per participant shard, resolve
-    /// with a single 8 B store, then retire every shard's revocation
-    /// window. Holds the pool-level spanning mutex throughout, plus the
-    /// cache locks of shard 0 (the intent host — guarantees the record's
-    /// commit annotations are ordered against that device's other
-    /// commits) and every participant, acquired in ascending order.
-    fn commit_spanning(&self, txn: Txn) -> Result<(), TincaError> {
-        let _t = telemetry::span(telemetry::phase::COMMIT_SPANNING);
-        let coalesced = txn.coalesced_writes();
-        let mut parts = self.split_spanning(txn);
-        let mut next_id = self.spanning.lock().unwrap_or_else(PoisonError::into_inner);
-        let intent_id = *next_id;
-        *next_id += 1;
-        let tag = intent_tag(intent_id);
-        // Tag this thread's trace ops with the intent id (provenance for
-        // merged-trace analysis; a no-op when tracing is off).
-        let _prov = nvmsim::txn_scope(intent_id);
-        let mut guards: Vec<(usize, CacheGuard<'_>)> = Vec::new();
-        for (s, sh) in self.shards.iter().enumerate() {
-            if s == 0 || parts[s].is_some() {
-                guards.push((s, sh.lock_cache()));
-            }
-        }
-        let host = &self.shards[0].nvm;
-        // Participant bitmap (advisory; shards ≥ 64 saturate onto bit 63).
-        let mut bitmap: u64 = 0;
-        for (s, p) in parts.iter().enumerate() {
-            if p.is_some() {
-                bitmap |= 1 << s.min(63);
-            }
-        }
-        // Publish: one cache line, one fence. Until the resolve store
-        // below, recovery rolls every fragment tagged `tag` back.
-        host.atomic_write_u64(INTENT_SHARDS_OFF, bitmap);
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Prepared { id: intent_id }.encode(),
-        );
-        host.persist(INTENT_OFF, 16);
-        host.note_commit(INTENT_OFF, 64);
+    // ─────────────────────────── ring pipeline ───────────────────────────
 
-        // Phase 1: prepare fragments in ascending shard order, stopping
-        // at the first failure — later fragments are never attempted.
-        let mut prepared: Vec<(usize, PreparedFragment)> = Vec::new();
-        let mut failure = None;
-        let mut first_part = true;
-        for (gi, (s, guard)) in guards.iter_mut().enumerate() {
-            let Some(mut part) = parts[*s].take() else {
-                continue;
-            };
-            if first_part {
-                // Keep the original transaction's coalescing count on its
-                // first fragment so pool-wide stats still add up.
-                part.add_coalesced(coalesced);
-                first_part = false;
-            }
-            match guard.prepare_fragment(&part, tag) {
-                Ok(frag) => prepared.push((gi, frag)),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // Abort: revoke every prepared fragment, then retire the
-            // intent — nothing of the transaction stays durable, and a
-            // crash anywhere in here still rolls every fragment back.
-            for (gi, frag) in prepared {
-                guards[gi].1.abort_fragment(frag);
-            }
-            host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-            host.persist(INTENT_STATE_OFF, 8);
-            host.note_commit(INTENT_OFF, 64);
-            guards[0].1.stats_mut().spanning_aborts += 1;
-            return Err(e);
-        }
-
-        // Resolve: the transaction's commit point. Every fragment was
-        // fenced-durable before this store, so from here recovery rolls
-        // all of them forward.
-        host.atomic_write_u64(
-            INTENT_STATE_OFF,
-            SpanningIntent::Resolved { id: intent_id }.encode(),
-        );
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
-
-        // Phase 2: move every participant's Tail (closing its revocation
-        // window) and reclaim, then retire the record — all windows are
-        // closed, so future recoveries need no directive.
-        for (gi, frag) in prepared {
-            guards[gi].1.complete_fragment(frag);
-        }
-        host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-        host.persist(INTENT_STATE_OFF, 8);
-        host.note_commit(INTENT_OFF, 64);
-        guards[0].1.stats_mut().spanning_commits += 1;
-        Ok(())
-    }
-
-    /// Submits a whole batch of transactions at once: single-shard
-    /// transactions are routed and queued before any shard commits, so
-    /// those sharing a shard are guaranteed to ride one group commit
-    /// (deterministically — no reliance on thread timing); spanning
-    /// transactions each run the two-phase intent protocol. Returns one
-    /// result per transaction, in submission order — each result reflects
-    /// that transaction's commit/abort outcome (a group is atomic as a
-    /// unit, and a spanning abort leaves nothing durable), never "`Err`
-    /// but half-durable".
-    pub fn commit_many(&self, txns: Vec<Txn>) -> Vec<Result<(), TincaError>> {
-        if self.commit_mode == CommitMode::LockFreeRing {
-            // The lock-free path has no leader-merged batches; each
-            // transaction runs the full reserve/stage/publish/sequence
-            // pipeline (single-threaded callers retire synchronously, so
-            // submission order is deterministic).
-            return txns.into_iter().map(|t| self.commit(t)).collect();
-        }
-        let n = txns.len();
-        let mut results: Vec<Result<(), TincaError>> = vec![Ok(()); n];
-        // Whole transactions per home shard, tagged with the submitting
-        // txn's index; spanning transactions are set aside.
-        let mut per_shard: Vec<Vec<(usize, Txn)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut spanning: Vec<(usize, Txn)> = Vec::new();
-        for (i, txn) in txns.into_iter().enumerate() {
-            if txn.is_empty() {
-                continue;
-            }
-            match self.home_shard(&txn) {
-                Some(s) => per_shard[s].push((i, txn)),
-                None => spanning.push((i, txn)),
-            }
-        }
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let (idxs, parts): (Vec<usize>, Vec<Txn>) = batch.into_iter().unzip();
-            if let Err(e) = self.shards[s].lock_cache().commit_group(parts) {
-                for i in idxs {
-                    results[i] = Err(e);
-                }
-            }
-        }
-        for (i, txn) in spanning {
-            results[i] = self.commit_spanning(txn);
-        }
-        results
-    }
-
-    /// Queues `txn` on shard `s` and returns its group's commit result.
-    /// The first queued thread becomes the leader: it drains a batch
-    /// (bounded by the ring capacity and `max_batch_txns`), merges it, and
-    /// runs one ring commit while followers wait on the condvar.
-    fn commit_on_shard(&self, s: usize, txn: Txn) -> Result<(), TincaError> {
-        let sh = &self.shards[s];
-        let ticket = {
-            let mut gc = lock_gc(sh);
-            let t = gc.next_ticket;
-            gc.next_ticket += 1;
-            gc.queue.push_back((t, txn));
-            t
-        };
-        let mut gc = lock_gc(sh);
-        loop {
-            if let Some(res) = gc.results.remove(&ticket) {
-                // Adopt the publishing leader's history: everything it
-                // stored and fenced for this group happens-before whatever
-                // this thread does next.
-                sh.nvm
-                    .note_atomic_load_acquire(sh.sync_base + SYNC_GC_PUBLISH);
-                return res;
-            }
-            if gc.leader {
-                // Simulated time a follower spends parked behind the
-                // in-flight group commit (the leader advances the clock).
-                let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
-                gc = sh.cv.wait(gc).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            gc.leader = true;
-            let lead = telemetry::span(telemetry::phase::COMMIT_GROUP_LEAD);
-            let mut tickets = Vec::new();
-            let mut batch = Vec::new();
-            let mut staged = 0usize;
-            while let Some((t, queued)) = gc.queue.pop_front() {
-                // Always take one; stop before the merged transaction could
-                // overflow the ring (coalescing only shrinks it further).
-                if !batch.is_empty()
-                    && (batch.len() >= self.max_batch_txns || staged + queued.len() > sh.ring_slots)
-                {
-                    gc.queue.push_front((t, queued));
-                    break;
-                }
-                staged += queued.len();
-                tickets.push(t);
-                batch.push(queued);
-            }
-            drop(gc);
-            // A crash trip (simulated power failure) may panic out of the
-            // commit; restore leadership and wake waiters before unwinding
-            // so surviving threads are not stranded.
-            let res = catch_unwind(AssertUnwindSafe(|| sh.lock_cache().commit_group(batch)));
-            drop(lead);
-            gc = lock_gc(sh);
-            gc.leader = false;
-            match res {
-                Ok(res) => {
-                    for t in tickets {
-                        gc.results.insert(t, res);
-                    }
-                    // Publish the group's commit to its followers (still
-                    // under the gc mutex, so the release annotation is
-                    // trace-ordered before any follower's acquire).
-                    sh.nvm
-                        .note_atomic_store_release(sh.sync_base + SYNC_GC_PUBLISH);
-                    sh.cv.notify_all();
-                }
-                Err(payload) => {
-                    drop(gc);
-                    sh.cv.notify_all();
-                    resume_unwind(payload);
-                }
-            }
-        }
-    }
-
-    // ──────────────────── multi-writer lock-free path ────────────────────
-
-    /// Non-blocking multi-writer admission of a single-shard transaction
-    /// (`LockFreeRing` mode only; see [`CommitMode`]). On
+    /// Non-blocking admission of a single-shard transaction. On
     /// [`MwAdmission::Admitted`] the caller owns a reserved window and
     /// must drive it through [`mw_stage`](Self::mw_stage),
     /// [`mw_publish`](Self::mw_publish), and (eventually)
@@ -644,11 +378,6 @@ impl TincaPool {
     /// the steppable face of the pipeline — deterministic drivers
     /// (benches, fuzzers, proptests) interleave the steps explicitly.
     pub fn mw_try_begin(&self, txn: Txn) -> Result<MwAdmission, TincaError> {
-        assert_eq!(
-            self.commit_mode,
-            CommitMode::LockFreeRing,
-            "mw_try_begin requires CommitMode::LockFreeRing"
-        );
         assert!(!txn.is_empty(), "empty transactions commit trivially");
         let home = self.home_shard(&txn);
         assert!(
@@ -668,76 +397,40 @@ impl TincaPool {
                 ring_cap: sh.ring_slots as u64,
             });
         }
-        // Conflict admission *before* reservation: claim the disk blocks
-        // while holding no ring capacity, so a conflicting writer waits
-        // without starving the shard of slots (no hold-and-wait).
-        {
-            let mut mw = lock_mw(sh);
-            if mw.spanning_open || txn.disk_blocks().any(|b| mw.in_flight.contains(&b)) {
+        // Reservation: conflict claim, descriptor slot, ring window and
+        // registration in ONE critical section, so windows register in
+        // exactly their ring order and a quiesce, flush or sequencer
+        // round never misses one. A refused writer holds nothing — no
+        // slots, no blocks — while it waits (no hold-and-wait).
+        let (ordinal, desc_slot, start) = {
+            let _r = telemetry::span(telemetry::phase::RING_RESERVE);
+            let mut mw = sh.lock_mw();
+            if mw.spanning_open
+                || mw.cursor + n > mw.ring_limit
+                || txn.disk_blocks().any(|b| mw.in_flight.contains(&b))
+            {
                 return Ok(MwAdmission::Busy(txn));
             }
-            for b in txn.disk_blocks() {
-                mw.in_flight.insert(b);
-            }
-        }
-        let mut retries = 0u64;
-        // Descriptor credit: one persistent table slot per window.
-        loop {
-            let avail = sh.mw.slots_avail.load(Ordering::Acquire);
-            if avail == 0 {
-                return Ok(self.mw_back_out(sh, txn, retries, false));
-            }
-            match sh.mw.slots_avail.compare_exchange(
-                avail,
-                avail - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(_) => retries += 1,
-            }
-        }
-        // Ring window: CAS-advance the reservation cursor, bounded by the
-        // sequencer-republished `ring_limit` (`Tail + ring_cap`), so a
-        // successful reservation can never lap a live slot.
-        let start = loop {
-            let cur = sh.mw.cursor.load(Ordering::Acquire);
-            if cur + n > sh.mw.ring_limit.load(Ordering::Acquire) {
-                return Ok(self.mw_back_out(sh, txn, retries, true));
-            }
-            match sh
-                .mw
-                .cursor
-                .compare_exchange(cur, cur + n, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break cur,
-                Err(_) => retries += 1,
-            }
-        };
-        let (ordinal, desc_slot) = {
-            let mut mw = lock_mw(sh);
-            mw.pending_cas_retries += retries;
+            // Descriptor credit: one persistent table slot per window.
+            let Some(desc_slot) = mw.free_desc.pop() else {
+                return Ok(MwAdmission::Busy(txn));
+            };
+            let start = mw.cursor;
+            mw.cursor += n;
+            mw.in_flight.extend(txn.disk_blocks());
             let ordinal = mw.next_ordinal;
             mw.next_ordinal += 1;
-            // Audited panic: a descriptor credit was CAS-acquired above,
-            // so the free list cannot be empty.
-            #[allow(clippy::disallowed_methods)]
-            let desc_slot = mw.free_desc.pop().expect("descriptor credit held");
-            let at = mw.windows.partition_point(|w| w.start < start);
-            mw.windows.insert(
-                at,
-                MwWindow {
-                    ordinal,
-                    start,
-                    len: n,
-                    desc_slot,
-                    staged: false,
-                    ready_ns: 0,
-                    disk_blocks: txn.disk_blocks().collect(),
-                    meta: None,
-                },
-            );
-            (ordinal, desc_slot)
+            mw.windows.push_back(MwWindow {
+                ordinal,
+                start,
+                len: n,
+                desc_slot,
+                staged: false,
+                ready_ns: 0,
+                disk_blocks: txn.disk_blocks().collect(),
+                meta: None,
+            });
+            (ordinal, desc_slot, start)
         };
         // Latched meta phase (short, under the cache lock): block
         // allocation, log-role entries, tagged ring slots, `RESERVED`
@@ -747,15 +440,12 @@ impl TincaPool {
         // and the failure arm re-locks the cache via `mw_sequence`.
         let staged = sh
             .lock_cache()
-            .mw_stage_meta(txn, start, desc_slot, 0, ordinal);
+            .mw_stage_meta(txn, start, desc_slot, ordinal);
         match staged {
             Ok(mut meta) => {
                 let stage_jobs = std::mem::take(&mut meta.stage_jobs);
                 let ready_ns = sh.nvm.clock().now_ns();
-                {
-                    let mut mw = lock_mw(sh);
-                    Self::mw_window_mut(&mut mw, ordinal).meta = Some(meta);
-                }
+                Self::mw_window_mut(&mut sh.lock_mw(), ordinal).meta = Some(meta);
                 Ok(MwAdmission::Admitted(MwTicket {
                     shard: s,
                     ordinal,
@@ -769,33 +459,18 @@ impl TincaPool {
                 // unwritten slots dead-tagged); publish it `STAGED` so the
                 // sequencer can pass it, then report the admission error.
                 {
-                    let mut mw = lock_mw(sh);
+                    let mut mw = sh.lock_mw();
                     let w = Self::mw_window_mut(&mut mw, ordinal);
                     w.meta = Some(meta);
                     w.staged = true;
                     w.ready_ns = sh.nvm.clock().now_ns();
                 }
                 Self::mw_publish_desc(sh, desc_slot, ordinal);
-                sh.mw.cv.notify_all();
+                sh.cv.notify_all();
                 self.mw_sequence(s);
                 Err(e)
             }
         }
-    }
-
-    /// Undoes a reservation attempt that failed at the credit or cursor
-    /// CAS: un-claims the conflict-admission blocks (the caller still owns
-    /// `txn`) and refunds the descriptor credit if one was taken.
-    fn mw_back_out(&self, sh: &Shard, txn: Txn, retries: u64, refund_credit: bool) -> MwAdmission {
-        if refund_credit {
-            sh.mw.slots_avail.fetch_add(1, Ordering::AcqRel);
-        }
-        let mut mw = lock_mw(sh);
-        mw.pending_cas_retries += retries;
-        for b in txn.disk_blocks() {
-            mw.in_flight.remove(&b);
-        }
-        MwAdmission::Busy(txn)
     }
 
     /// The window registered by [`mw_try_begin_on`](Self::mw_try_begin_on)
@@ -813,21 +488,34 @@ impl TincaPool {
 
     /// Stages the window's payload blocks — COW write + flush per block —
     /// on a **private clock** seeded at the meta-phase end, so concurrent
-    /// writers' staging overlaps in simulated time instead of serialising
-    /// (the cost the mutex path could never avoid). Runs under no lock.
+    /// writers' staging overlaps in simulated time instead of serialising.
+    /// Runs under no lock. The private time is charged to `ring.stage`
+    /// without advancing the shard clock; the shard pays for it only
+    /// when a sequencer round waits for the slowest writer.
     pub fn mw_stage(&self, ticket: &mut MwTicket) {
         let sh = &self.shards[ticket.shard];
+        ticket.ready_ns = Self::stage_private(sh, ticket.stage_jobs.drain(..), ticket.ready_ns);
+    }
+
+    /// Writes and flushes each `(nvm address, payload)` job on a private
+    /// clock seeded at `from_ns`, charges the time to `ring.stage`, and
+    /// returns the private clock's end: the staging's durability frontier.
+    fn stage_private(
+        sh: &Shard,
+        jobs: impl IntoIterator<Item = (usize, BlockBuf)>,
+        from_ns: u64,
+    ) -> u64 {
         let private = nvmsim::SimClock::new();
-        private.advance_to(ticket.ready_ns);
+        private.advance_to(from_ns);
         {
             let _scope = nvmsim::divert_charges(private.clone());
-            let _t = telemetry::span(telemetry::phase::COMMIT_STAGE);
-            for (addr, data) in ticket.stage_jobs.drain(..) {
+            for (addr, data) in jobs {
                 sh.nvm.write(addr, &data[..]);
                 sh.nvm.clflush(addr, BLOCK_SIZE);
             }
         }
-        ticket.ready_ns = private.now_ns();
+        telemetry::charge(telemetry::phase::RING_STAGE, private.now_ns() - from_ns);
+        private.now_ns()
     }
 
     /// Publishes the window: one 8 B release-store flips its descriptor
@@ -842,13 +530,17 @@ impl TincaPool {
             let _scope = nvmsim::divert_charges(private.clone());
             Self::mw_publish_desc(sh, ticket.desc_slot, ticket.ordinal);
         }
+        telemetry::charge(
+            telemetry::phase::RING_PUBLISH,
+            private.now_ns() - ticket.ready_ns,
+        );
         {
-            let mut mw = lock_mw(sh);
+            let mut mw = sh.lock_mw();
             let w = Self::mw_window_mut(&mut mw, ticket.ordinal);
             w.staged = true;
             w.ready_ns = private.now_ns();
         }
-        sh.mw.cv.notify_all();
+        sh.cv.notify_all();
     }
 
     /// The `STAGED` descriptor store + flush + release annotation shared
@@ -871,27 +563,24 @@ impl TincaPool {
         let sh = &self.shards[s];
         let mut retired_total = 0usize;
         loop {
-            let (mut round, retries, handoffs) = {
-                let mut mw = lock_mw(sh);
+            let (mut round, handoffs) = {
+                let mut mw = sh.lock_mw();
                 if mw.sequencing {
                     mw.pending_handoffs += 1;
                     break;
                 }
                 // Maximal contiguous staged prefix, in ring order.
-                let mut k = 0;
-                while k < mw.windows.len() && mw.windows[k].staged && mw.windows[k].meta.is_some() {
-                    k += 1;
-                }
+                let k = mw
+                    .windows
+                    .iter()
+                    .take_while(|w| w.staged && w.meta.is_some())
+                    .count();
                 if k == 0 {
                     break;
                 }
                 mw.sequencing = true;
                 let round: Vec<MwWindow> = mw.windows.drain(..k).collect();
-                (
-                    round,
-                    std::mem::take(&mut mw.pending_cas_retries),
-                    std::mem::take(&mut mw.pending_handoffs),
-                )
+                (round, std::mem::take(&mut mw.pending_handoffs))
             };
             let max_ready = round.iter().map(|w| w.ready_ns).max().unwrap_or(0);
             let end = round[round.len() - 1].start + round[round.len() - 1].len;
@@ -912,49 +601,37 @@ impl TincaPool {
                 // Adopt every publisher's history before the drain fence.
                 sh.nvm
                     .note_atomic_load_acquire(sh.sync_base + SYNC_MW_PUBLISH);
-                let st = cache.stats_mut();
-                st.reservation_cas_retries += retries;
-                st.sequencer_handoffs += handoffs;
+                cache.stats_mut().sequencer_handoffs += handoffs;
                 cache.mw_sequence(metas, max_ready);
             }));
-            match res {
-                Ok(()) => {
-                    {
-                        let mut mw = lock_mw(sh);
-                        for w in &round {
-                            for b in &w.disk_blocks {
-                                mw.in_flight.remove(b);
-                            }
-                            mw.free_desc.push(w.desc_slot);
-                            if mw.waiting.remove(&w.ordinal) {
-                                mw.retired.insert(w.ordinal);
-                            }
-                        }
-                        mw.sequencing = false;
-                    }
-                    sh.mw
-                        .slots_avail
-                        .fetch_add(round.len() as u64, Ordering::AcqRel);
-                    sh.mw
-                        .ring_limit
-                        .store(end + sh.ring_slots as u64, Ordering::Release);
-                    sh.mw.cv.notify_all();
-                    retired_total += round.len();
+            let mut mw = sh.lock_mw();
+            mw.sequencing = false;
+            if let Err(payload) = res {
+                drop(mw);
+                sh.cv.notify_all();
+                resume_unwind(payload);
+            }
+            for w in &round {
+                for b in &w.disk_blocks {
+                    mw.in_flight.remove(b);
                 }
-                Err(payload) => {
-                    lock_mw(sh).sequencing = false;
-                    sh.mw.cv.notify_all();
-                    resume_unwind(payload);
+                mw.free_desc.push(w.desc_slot);
+                if mw.waiting.remove(&w.ordinal) {
+                    mw.retired.insert(w.ordinal);
                 }
             }
+            mw.ring_limit = end + sh.ring_slots as u64;
+            drop(mw);
+            sh.cv.notify_all();
+            retired_total += round.len();
         }
         retired_total
     }
 
-    /// Blocking multi-writer commit on shard `s`: reserve (retrying while
-    /// the shard is busy), stage, publish, then sequence-or-wait until the
-    /// window retires.
-    fn commit_on_shard_mw(&self, s: usize, mut txn: Txn) -> Result<(), TincaError> {
+    /// Blocking commit on shard `s`: reserve (retrying while the shard is
+    /// busy), stage, publish, then sequence-or-wait until the window
+    /// retires.
+    fn commit_single_shard(&self, s: usize, mut txn: Txn) -> Result<(), TincaError> {
         let sh = &self.shards[s];
         let mut ticket = loop {
             match self.mw_try_begin_on(s, txn)? {
@@ -967,11 +644,11 @@ impl TincaPool {
         };
         self.mw_stage(&mut ticket);
         let ordinal = ticket.ordinal;
-        lock_mw(sh).waiting.insert(ordinal);
+        sh.lock_mw().waiting.insert(ordinal);
         self.mw_publish(ticket);
         loop {
             self.mw_sequence(s);
-            let mut mw = lock_mw(sh);
+            let mut mw = sh.lock_mw();
             if mw.retired.remove(&ordinal) {
                 return Ok(());
             }
@@ -979,8 +656,7 @@ impl TincaPool {
             // behind an earlier unpublished window; park until the shard
             // advances. Checking `retired` under the lock the sequencer
             // updates it under rules out a lost wakeup.
-            let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
-            drop(sh.mw.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
+            sh.wait(mw);
         }
     }
 
@@ -992,70 +668,87 @@ impl TincaPool {
             return;
         }
         let sh = &self.shards[s];
-        let mw = lock_mw(sh);
-        if mw.windows.is_empty() && !mw.sequencing && !mw.spanning_open {
+        let mw = sh.lock_mw();
+        if mw.is_idle() && !mw.spanning_open {
             // The shard already drained between our admission attempt and
             // now; retry immediately.
             return;
         }
-        let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
-        drop(sh.mw.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
+        sh.wait(mw);
     }
 
-    /// Blocks new multi-writer admissions on shard `s` (`spanning_open`)
-    /// and drains every outstanding window — helping sequence staged
-    /// prefixes, waiting out unpublished stragglers — so the spanning
-    /// lane finds `Head == Tail == cursor` and all descriptors free.
+    /// Blocks new admissions on shard `s` (`spanning_open`) and drains
+    /// every outstanding window — helping sequence staged prefixes,
+    /// waiting out unpublished stragglers — so the spanning lane finds
+    /// `Head == Tail == cursor` and all descriptors free.
     fn mw_quiesce(&self, s: usize) {
         let sh = &self.shards[s];
-        lock_mw(sh).spanning_open = true;
+        sh.lock_mw().spanning_open = true;
         loop {
             self.mw_sequence(s);
-            let mw = lock_mw(sh);
-            if mw.windows.is_empty() && !mw.sequencing {
+            let mw = sh.lock_mw();
+            if mw.is_idle() {
                 return;
             }
-            let _w = telemetry::span(telemetry::phase::COMMIT_GROUP_WAIT);
-            drop(sh.mw.cv.wait(mw).unwrap_or_else(PoisonError::into_inner));
+            sh.wait(mw);
         }
     }
 
-    /// Reopens multi-writer admissions after a spanning commit
+    /// Reopens admissions after a spanning commit
     /// ([`mw_quiesce`](Self::mw_quiesce) counterpart).
     fn mw_reopen(&self, participants: &[usize]) {
         for &s in participants {
             let sh = &self.shards[s];
-            lock_mw(sh).spanning_open = false;
-            sh.mw.cv.notify_all();
+            sh.lock_mw().spanning_open = false;
+            sh.cv.notify_all();
         }
     }
 
     /// Pool-side bookkeeping after a spanning-lane window closed on a
     /// quiesced shard (the cache side already retired its descriptor):
-    /// refund the descriptor credit and republish the reservation limit
-    /// off the shard's already-advanced cursor.
+    /// free the descriptor slot and republish the reservation limit off
+    /// the shard's already-advanced cursor.
     fn mw_retire_slow(sh: &Shard, desc_slot: usize) {
-        let end = sh.mw.cursor.load(Ordering::Acquire);
-        lock_mw(sh).free_desc.push(desc_slot);
-        sh.mw.slots_avail.fetch_add(1, Ordering::AcqRel);
-        sh.mw
-            .ring_limit
-            .store(end + sh.ring_slots as u64, Ordering::Release);
+        let mut mw = sh.lock_mw();
+        mw.free_desc.push(desc_slot);
+        mw.ring_limit = mw.cursor + sh.ring_slots as u64;
     }
 
-    /// Two-phase spanning commit in `LockFreeRing` mode. Each participant
-    /// shard is quiesced, then its fragment takes the pipeline's slow
-    /// lane: reserve directly off the shard atomics, run the meta phase
-    /// with intent-tagged ring slots and a `MW_FLAG_SPANNING` descriptor,
-    /// stage inline on the shared clock, and sequence alone with `Tail`
-    /// held open — so PR 8's prepare/resolve recovery rules carry over
-    /// unchanged (DESIGN §16).
-    fn commit_spanning_mw(&self, txn: Txn) -> Result<(), TincaError> {
+    /// Stages one spanning fragment: allocates its copy-on-write blocks
+    /// under shard `s`'s cache lock, then writes and flushes the payloads
+    /// on a private clock outside every lock.
+    fn stage_fragment(&self, s: usize, part: Txn) -> Result<StagedFragment, TincaError> {
+        let sh = &self.shards[s];
+        let (blocks, addrs, from_ns) = {
+            let mut cache = sh.lock_cache();
+            let blocks = cache.mw_alloc_fragment(&part)?;
+            let addrs: Vec<usize> = blocks
+                .iter()
+                .map(|&b| cache.layout().data_addr(b))
+                .collect();
+            (blocks, addrs, cache.nvm().clock().now_ns())
+        };
+        let coalesced = part.coalesced_writes();
+        let (disk_blocks, payloads): (Vec<u64>, Vec<BlockBuf>) =
+            part.into_blocks().into_iter().unzip();
+        let ready_ns = Self::stage_private(sh, addrs.into_iter().zip(payloads), from_ns);
+        Ok(StagedFragment {
+            shard: s,
+            disk_blocks,
+            blocks,
+            coalesced,
+            ready_ns,
+        })
+    }
+
+    /// Spanning commit (module docs): register, stage every fragment,
+    /// then wait for — or lead — the batch that commits it.
+    fn commit_cross_shard(&self, txn: Txn) -> Result<(), TincaError> {
         let _t = telemetry::span(telemetry::phase::COMMIT_SPANNING);
         let coalesced = txn.coalesced_writes();
         let mut parts = self.split_spanning(txn);
-        // Size-check every fragment before any shard quiesces, so an
-        // oversized fragment aborts with no cross-shard work at all.
+        // Size-check every fragment before any staging, so an oversized
+        // fragment aborts with no cross-shard work at all.
         for (s, p) in parts.iter().enumerate() {
             if let Some(p) = p {
                 if p.len() > self.shards[s].ring_slots {
@@ -1066,36 +759,175 @@ impl TincaPool {
                 }
             }
         }
-        let mut next_id = self.spanning.lock().unwrap_or_else(PoisonError::into_inner);
-        let intent_id = *next_id;
-        *next_id += 1;
+        // Register before staging: batches retire in registration order,
+        // so writers still staging hold back (and batch up) later ones.
+        let ticket = {
+            let mut st = self.lock_spanning();
+            st.queue.push_back(None);
+            st.front_ticket + st.queue.len() as u64 - 1
+        };
+        // A failed (or crash-tripped) staging still takes its place in the
+        // queue as an empty transaction, so it never holds back the rest.
+        let staged = catch_unwind(AssertUnwindSafe(|| {
+            let mut frags: Vec<StagedFragment> = Vec::new();
+            for (s, part) in parts.iter_mut().enumerate() {
+                let Some(part) = part.take() else {
+                    continue;
+                };
+                match self.stage_fragment(s, part) {
+                    Ok(f) => frags.push(f),
+                    Err(e) => {
+                        // Nothing names the staged blocks yet: hand them
+                        // back — nothing was made durable.
+                        for f in &frags {
+                            self.shards[f.shard]
+                                .lock_cache()
+                                .mw_release_fragment(&f.blocks);
+                        }
+                        self.shards[0].lock_cache().stats_mut().spanning_aborts += 1;
+                        return Err(e);
+                    }
+                }
+            }
+            // Keep the original transaction's coalescing count on its
+            // first fragment so pool-wide stats still add up.
+            frags[0].coalesced += coalesced;
+            for f in &frags {
+                let sh = &self.shards[f.shard];
+                sh.nvm
+                    .note_atomic_store_release(sh.sync_base + SYNC_SPAN_PUBLISH);
+            }
+            Ok(frags)
+        }));
+        let mut st = self.lock_spanning();
+        let slot = (ticket - st.front_ticket) as usize;
+        match staged {
+            Ok(Ok(frags)) => st.queue[slot] = Some(frags),
+            Ok(Err(e)) => {
+                st.queue[slot] = Some(Vec::new());
+                self.spanning_cv.notify_all();
+                return Err(e);
+            }
+            Err(payload) => {
+                st.queue[slot] = Some(Vec::new());
+                self.spanning_cv.notify_all();
+                drop(st);
+                resume_unwind(payload);
+            }
+        }
+        loop {
+            if ticket < st.retired_below {
+                return Ok(());
+            }
+            let head_staged = st.queue.front().is_some_and(Option::is_some);
+            if st.leading || !head_staged {
+                st = self
+                    .spanning_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            // Lead one batch: the longest staged prefix of the queue whose
+            // transactions touch distinct disk blocks (one window cannot
+            // stage a block twice) and fit every participant's ring.
+            st.leading = true;
+            let mut taken = std::collections::HashSet::new();
+            let mut slots = vec![0usize; self.shards.len()];
+            let mut n = 0;
+            for frags in st.queue.iter().map_while(Option::as_ref) {
+                let fits = frags.iter().all(|f| {
+                    slots[f.shard] + f.blocks.len() <= self.shards[f.shard].ring_slots
+                        && f.disk_blocks.iter().all(|b| !taken.contains(b))
+                });
+                if n > 0 && !fits {
+                    break;
+                }
+                for f in frags {
+                    slots[f.shard] += f.blocks.len();
+                    taken.extend(f.disk_blocks.iter().copied());
+                }
+                n += 1;
+            }
+            let batch: Vec<Vec<StagedFragment>> = st.queue.drain(..n).flatten().collect();
+            st.front_ticket += n as u64;
+            let intent_id = st.next_intent;
+            st.next_intent += 1;
+            drop(st);
+            // A crash trip may panic out of the batch: unstrand waiters.
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                self.commit_span_batch(intent_id, &batch);
+            }));
+            st = self.lock_spanning();
+            st.leading = false;
+            if res.is_ok() {
+                st.retired_below = st.front_ticket;
+            }
+            self.spanning_cv.notify_all();
+            if let Err(payload) = res {
+                drop(st);
+                resume_unwind(payload);
+            }
+        }
+    }
+
+    fn lock_spanning(&self) -> StdGuard<'_, SpanState> {
+        self.spanning.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Two-phase commit of one batch under intent `intent_id` (module
+    /// docs): one window per participant holds all its fragments. The
+    /// cache locks of shard 0 (the intent host: orders the record against
+    /// that device's other commits) and the participants are held
+    /// throughout.
+    fn commit_span_batch(&self, intent_id: u64, batch: &[Vec<StagedFragment>]) {
+        let txns = batch.iter().filter(|frags| !frags.is_empty()).count() as u64;
+        if txns == 0 {
+            return; // only refused transactions
+        }
+        let frags = || batch.iter().flatten();
         let tag = intent_tag(intent_id);
+        // Tag this thread's trace ops with the intent id (provenance for
+        // merged-trace analysis; a no-op when tracing is off).
         let _prov = nvmsim::txn_scope(intent_id);
-        let participants: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| parts[s].is_some())
-            .collect();
+        let mut participants: Vec<usize> = frags().map(|f| f.shard).collect();
+        participants.sort_unstable();
+        participants.dedup();
         for &s in &participants {
             self.mw_quiesce(s);
         }
         let mut guards: Vec<(usize, CacheGuard<'_>)> = Vec::new();
         for (s, sh) in self.shards.iter().enumerate() {
-            if s == 0 || parts[s].is_some() {
+            if s == 0 || participants.contains(&s) {
                 guards.push((s, sh.lock_cache()));
             }
         }
-        let host = &self.shards[0].nvm;
-        let mut bitmap: u64 = 0;
-        for (s, p) in parts.iter().enumerate() {
-            if p.is_some() {
-                bitmap |= 1 << s.min(63);
+        for &s in &participants {
+            // Adopt every batched writer's staging before the fences below.
+            let sh = &self.shards[s];
+            sh.nvm
+                .note_atomic_load_acquire(sh.sync_base + SYNC_SPAN_PUBLISH);
+        }
+        {
+            // The prepare cannot start on a shard before the batch's
+            // slowest writer finished staging its fragment there.
+            let _w = telemetry::span(telemetry::phase::RING_WAIT);
+            for f in frags() {
+                self.shards[f.shard].nvm.clock().advance_to(f.ready_ns);
             }
+        }
+        let host = &self.shards[0].nvm;
+        // Participant bitmap (advisory; shards ≥ 64 saturate onto bit 63).
+        let mut bitmap: u64 = 0;
+        for &s in &participants {
+            bitmap |= 1 << s.min(63);
         }
         // A preceding pipelined round leaves its descriptor-retire
         // flushes unfenced on shard 0 (the next sequencer drain normally
         // orders them); the intent record below is a commit record on
         // that same device, so fence first.
         host.sfence();
-        // Publish — identical to the mutex path; see `commit_spanning`.
+        // Publish: one cache line, one fence. Until the resolve store
+        // below, recovery rolls every fragment tagged `tag` back.
         host.atomic_write_u64(INTENT_SHARDS_OFF, bitmap);
         host.atomic_write_u64(
             INTENT_STATE_OFF,
@@ -1104,27 +936,30 @@ impl TincaPool {
         host.persist(INTENT_OFF, 16);
         host.note_commit(INTENT_OFF, 64);
 
-        // Phase 1: prepare one tagged window per participant, ascending.
-        let mut prepared: Vec<(usize, MwStagedMeta)> = Vec::new();
-        let mut failure = None;
-        let mut first_part = true;
+        // Phase 1: prepare one tagged window per participant in ascending
+        // shard order. The blocks are allocated and the payloads staged,
+        // so no step here can be refused.
+        let mut prepared: Vec<(usize, MwStagedMeta, u64)> = Vec::new();
         for (gi, (s, guard)) in guards.iter_mut().enumerate() {
-            let Some(mut part) = parts[*s].take() else {
+            let (mut disk_blocks, mut blocks, mut coalesced, mut fragments) =
+                (Vec::new(), Vec::new(), 0, 0u64);
+            for f in frags().filter(|f| f.shard == *s) {
+                disk_blocks.extend_from_slice(&f.disk_blocks);
+                blocks.extend_from_slice(&f.blocks);
+                coalesced += f.coalesced;
+                fragments += 1;
+            }
+            if fragments == 0 {
                 continue;
-            };
-            if first_part {
-                part.add_coalesced(coalesced);
-                first_part = false;
             }
             let sh = &self.shards[*s];
-            let n = part.len() as u64;
             // The shard is quiesced and `spanning_open` blocks rivals, so
-            // plain stores reserve the window.
-            let start = sh.mw.cursor.load(Ordering::Acquire);
-            sh.mw.cursor.store(start + n, Ordering::Release);
-            sh.mw.slots_avail.fetch_sub(1, Ordering::AcqRel);
-            let (ordinal, desc_slot) = {
-                let mut mw = lock_mw(sh);
+            // its ring is closed at the cursor and every descriptor slot
+            // is free.
+            let (start, ordinal, desc_slot) = {
+                let mut mw = sh.lock_mw();
+                let start = mw.cursor;
+                mw.cursor += blocks.len() as u64;
                 let ordinal = mw.next_ordinal;
                 mw.next_ordinal += 1;
                 // Audited panic: a quiesced shard has every descriptor
@@ -1134,77 +969,41 @@ impl TincaPool {
                     .free_desc
                     .pop()
                     .expect("quiesced shard has free descriptors");
-                (ordinal, slot)
+                (start, ordinal, slot)
             };
-            let staged = guard.mw_stage_meta(part, start, desc_slot, tag, ordinal);
-            match staged {
-                Ok(mut meta) => {
-                    // Inline staging on the shared clock: the spanning lane
-                    // is serialised anyway, so there is no overlap to model.
-                    for (addr, data) in std::mem::take(&mut meta.stage_jobs) {
-                        guard.nvm().write(addr, &data[..]);
-                        guard.nvm().clflush(addr, BLOCK_SIZE);
-                    }
-                    Self::mw_publish_desc(sh, desc_slot, ordinal);
-                    let now = guard.nvm().clock().now_ns();
-                    guard.mw_sequence_spanning(&meta, now);
-                    prepared.push((gi, meta));
-                }
-                Err((e, meta)) => {
-                    // Seal the failed window: publish and sequence it as a
-                    // no-op so the shard's ring closes cleanly.
-                    Self::mw_publish_desc(sh, desc_slot, ordinal);
-                    let now = guard.nvm().clock().now_ns();
-                    guard.mw_sequence(vec![meta], now);
-                    // The sequencer leaves its descriptor-retire flush
-                    // unfenced (the next round's drain fence orders it);
-                    // here the next persist is the intent abort on shard
-                    // 0, so fence before falling through to it.
-                    guard.nvm().sfence();
-                    Self::mw_retire_slow(sh, desc_slot);
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failure {
-            // Abort — same shape as the mutex path: revoke every prepared
-            // fragment, then retire the intent.
-            for (gi, meta) in prepared {
-                let s = guards[gi].0;
-                let desc_slot = meta.desc_slot;
-                guards[gi].1.mw_abort_spanning(meta);
-                Self::mw_retire_slow(&self.shards[s], desc_slot);
-            }
-            host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
-            host.persist(INTENT_STATE_OFF, 8);
-            host.note_commit(INTENT_OFF, 64);
-            guards[0].1.stats_mut().spanning_aborts += 1;
-            drop(guards);
-            self.mw_reopen(&participants);
-            return Err(e);
+            let mut meta =
+                guard.mw_stage_meta_spanning(&disk_blocks, &blocks, start, desc_slot, tag, ordinal);
+            meta.coalesced = coalesced;
+            Self::mw_publish_desc(sh, desc_slot, ordinal);
+            guard.mw_sequence_spanning(&meta);
+            prepared.push((gi, meta, fragments));
         }
 
-        // Resolve: the transaction's commit point (see `commit_spanning`).
+        // Resolve: the batch's commit point. Every fragment was
+        // fenced-durable before this store, so from here recovery rolls
+        // all of them forward.
         host.atomic_write_u64(
             INTENT_STATE_OFF,
             SpanningIntent::Resolved { id: intent_id }.encode(),
         );
         host.persist(INTENT_STATE_OFF, 8);
         host.note_commit(INTENT_OFF, 64);
-        for (gi, meta) in prepared {
+
+        // Phase 2: move every participant's Tail (closing its revocation
+        // window) and reclaim, then retire the record — all windows are
+        // closed, so future recoveries need no directive.
+        for (gi, meta, fragments) in prepared {
             let s = guards[gi].0;
             let desc_slot = meta.desc_slot;
-            guards[gi].1.mw_complete_spanning(meta);
+            guards[gi].1.mw_complete_spanning(meta, fragments);
             Self::mw_retire_slow(&self.shards[s], desc_slot);
         }
         host.atomic_write_u64(INTENT_STATE_OFF, SpanningIntent::None.encode());
         host.persist(INTENT_STATE_OFF, 8);
         host.note_commit(INTENT_OFF, 64);
-        guards[0].1.stats_mut().spanning_commits += 1;
+        guards[0].1.stats_mut().spanning_commits += txns;
         drop(guards);
         self.mw_reopen(&participants);
-        Ok(())
     }
 
     /// Reads on-disk block `disk_blk` through its home shard.
@@ -1238,23 +1037,22 @@ impl TincaPool {
     pub fn flush_all(&self) -> Result<(), TincaError> {
         let mut first_err = Ok(());
         for (s, sh) in self.shards.iter().enumerate() {
-            if self.commit_mode == CommitMode::LockFreeRing {
-                // Retire whatever is retirable first; an unpublished (or
-                // mid-sequence) window still in flight makes the flush
-                // racy, so report it like an open ring window.
-                self.mw_sequence(s);
-                let mw = lock_mw(sh);
-                if !mw.windows.is_empty() || mw.sequencing {
-                    if first_err.is_ok() {
-                        first_err = Err(TincaError::CommitInProgress {
-                            head: sh.mw.cursor.load(Ordering::Acquire),
-                            tail: mw.windows.front().map(|w| w.start).unwrap_or(0),
-                        });
-                    }
-                    continue;
+            // Retire whatever is retirable first; an unpublished (or
+            // mid-sequence) window still in flight makes the flush racy,
+            // so report it like an open ring window.
+            self.mw_sequence(s);
+            let res = {
+                let mw = sh.lock_mw();
+                if mw.is_idle() {
+                    Ok(())
+                } else {
+                    Err(TincaError::CommitInProgress {
+                        head: mw.cursor,
+                        tail: mw.windows.front().map_or(mw.cursor, |w| w.start),
+                    })
                 }
-            }
-            let res = sh.lock_cache().flush_all();
+            };
+            let res = res.and_then(|()| sh.lock_cache().flush_all());
             if first_err.is_ok() {
                 first_err = res;
             }
@@ -1314,14 +1112,12 @@ impl TincaPool {
         Self::fold_mw_pending(&self.shards[s])
     }
 
-    /// A shard's cache counters plus the multi-writer pipeline's pending
-    /// (not-yet-sequenced) retry/handoff counts, so snapshots taken
-    /// between sequencer rounds still add up.
+    /// A shard's cache counters plus the pipeline's pending
+    /// (not-yet-sequenced) handoff count, so snapshots taken between
+    /// sequencer rounds still add up.
     fn fold_mw_pending(sh: &Shard) -> CacheStats {
         let mut st = sh.lock_cache().stats();
-        let mw = lock_mw(sh);
-        st.reservation_cas_retries += mw.pending_cas_retries;
-        st.sequencer_handoffs += mw.pending_handoffs;
+        st.sequencer_handoffs += sh.lock_mw().pending_handoffs;
         st
     }
 
@@ -1330,20 +1126,11 @@ impl TincaPool {
         f(&mut self.shards[s].lock_cache())
     }
 
-    /// The commit-path mode this pool was built with.
-    pub fn commit_mode(&self) -> CommitMode {
-        self.commit_mode
-    }
-
-    /// How many commits one shard can hold in flight at once: 1 for the
-    /// mutex path, the descriptor-table capacity for the lock-free ring.
-    /// Service-model tiers (open-loop) use this as the per-shard server
-    /// multiplicity.
+    /// How many commits one shard can hold in flight at once: the
+    /// descriptor-table capacity. Service-model tiers (open-loop) use
+    /// this as the per-shard server multiplicity.
     pub fn commit_concurrency(&self) -> usize {
-        match self.commit_mode {
-            CommitMode::MutexGroup => 1,
-            CommitMode::LockFreeRing => MW_WINDOWS,
-        }
+        MW_WINDOWS
     }
 
     /// A handle on shard `s`'s simulated clock (clones share time).
@@ -1385,11 +1172,37 @@ impl TincaPool {
     }
 }
 
+/// Spanning group-commit coordination (DRAM only).
+#[derive(Default)]
+struct SpanState {
+    /// Registered transactions in registration order, each with its
+    /// fragments once its writer finished staging (empty if refused).
+    queue: VecDeque<Option<Vec<StagedFragment>>>,
+    /// Ticket of the queue's front entry.
+    front_ticket: u64,
+    /// Every ticket below this one is committed.
+    retired_below: u64,
+    /// A batch is running (the intent record has one slot).
+    leading: bool,
+    /// Next intent sequence id.
+    next_intent: u64,
+}
+
+/// A staged spanning fragment: disk blocks in first-write order and the
+/// copy-on-write NVM block of each.
+struct StagedFragment {
+    shard: usize,
+    disk_blocks: Vec<u64>,
+    blocks: Vec<u32>,
+    coalesced: u64,
+    /// Private-clock end of the fragment's staging.
+    ready_ns: u64,
+}
+
 impl std::fmt::Debug for TincaPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TincaPool")
             .field("shards", &self.shards.len())
-            .field("max_batch_txns", &self.max_batch_txns)
             .finish()
     }
 }

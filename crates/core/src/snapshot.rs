@@ -13,7 +13,7 @@ use nvmsim::NvmStats;
 use telemetry::Json;
 
 use crate::cache::Health;
-use crate::{CacheStats, TincaCache, TincaPool};
+use crate::{CacheStats, TincaCache};
 
 /// One coherent sample of every counter domain, stamped with the simulated
 /// clock.
@@ -40,23 +40,6 @@ impl StatsSnapshot {
             nvm: cache.nvm().stats(),
             disk: cache.disk().stats(),
             health: cache.health(),
-        }
-    }
-
-    /// Samples a pool: cache and NVM counters are summed over shards, the
-    /// disk is shared (read once), and `sim_ns` is shard 0's clock.
-    pub fn collect_pool(pool: &TincaPool) -> StatsSnapshot {
-        let mut nvm = NvmStats::default();
-        for s in 0..pool.shard_count() {
-            nvm = nvm.merge(&pool.with_shard(s, |c| c.nvm().stats()));
-        }
-        let (sim_ns, disk) = pool.with_shard(0, |c| (c.nvm().clock().now_ns(), c.disk().stats()));
-        StatsSnapshot {
-            sim_ns,
-            cache: pool.stats(),
-            nvm,
-            disk,
-            health: pool.health(),
         }
     }
 
@@ -120,7 +103,6 @@ impl StatsSnapshot {
                     ("spanning_fragments", c.spanning_fragments.into()),
                     ("spanning_rolled_back", c.spanning_rolled_back.into()),
                     ("spanning_rolled_forward", c.spanning_rolled_forward.into()),
-                    ("reservation_cas_retries", c.reservation_cas_retries.into()),
                     ("sequencer_handoffs", c.sequencer_handoffs.into()),
                     ("mw_windows_resumed", c.mw_windows_resumed.into()),
                     ("mw_windows_rolled_back", c.mw_windows_rolled_back.into()),

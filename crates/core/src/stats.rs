@@ -12,7 +12,8 @@ pub struct CacheStats {
     pub write_hits: u64,
     /// Committed block writes for fresh (uncached) disk blocks.
     pub write_misses: u64,
-    /// Ring commits executed (one per group in batched commits).
+    /// Committed transactions: one per bare-cache commit, pool window or
+    /// spanning fragment.
     pub commits: u64,
     /// Total blocks across all committed transactions.
     pub committed_blocks: u64,
@@ -20,10 +21,12 @@ pub struct CacheStats {
     pub user_aborts: u64,
     /// Committing transactions that failed mid-protocol and were revoked.
     pub failed_commits: u64,
-    /// Ring commits that carried more than one user transaction (group
-    /// commit — one Tail store + fence amortised over the batch).
+    /// Sequencer rounds of the pool's ring pipeline that retired more
+    /// than one window (group commit — one fence + one `Head` store
+    /// amortised over the round).
     pub group_commits: u64,
-    /// User transactions that rode in a multi-transaction ring commit.
+    /// Transactions (windows) retired by those multi-window rounds; each
+    /// is also counted in `commits`.
     pub batched_txns: u64,
     /// Staged rewrites coalesced into an already-staged block (JBD2-style
     /// running-transaction merging; equal payloads skip the copy too).
@@ -81,9 +84,6 @@ pub struct CacheStats {
     /// Ring-window blocks preserved at recovery because their spanning
     /// intent had resolved (fragment rolled forward).
     pub spanning_rolled_forward: u64,
-    /// Failed CAS attempts on the multi-writer ring-reservation cursor
-    /// (lock-free commit path; each retry is one lost race for a window).
-    pub reservation_cas_retries: u64,
     /// Multi-writer sequencing attempts that deferred to another thread's
     /// in-flight round (combiner handoff) instead of advancing `Head`.
     pub sequencer_handoffs: u64,
@@ -147,7 +147,6 @@ impl CacheStats {
             spanning_fragments: self.spanning_fragments - e.spanning_fragments,
             spanning_rolled_back: self.spanning_rolled_back - e.spanning_rolled_back,
             spanning_rolled_forward: self.spanning_rolled_forward - e.spanning_rolled_forward,
-            reservation_cas_retries: self.reservation_cas_retries - e.reservation_cas_retries,
             sequencer_handoffs: self.sequencer_handoffs - e.sequencer_handoffs,
             mw_windows_resumed: self.mw_windows_resumed - e.mw_windows_resumed,
             mw_windows_rolled_back: self.mw_windows_rolled_back - e.mw_windows_rolled_back,
@@ -187,7 +186,6 @@ impl CacheStats {
             spanning_fragments: self.spanning_fragments + o.spanning_fragments,
             spanning_rolled_back: self.spanning_rolled_back + o.spanning_rolled_back,
             spanning_rolled_forward: self.spanning_rolled_forward + o.spanning_rolled_forward,
-            reservation_cas_retries: self.reservation_cas_retries + o.reservation_cas_retries,
             sequencer_handoffs: self.sequencer_handoffs + o.sequencer_handoffs,
             mw_windows_resumed: self.mw_windows_resumed + o.mw_windows_resumed,
             mw_windows_rolled_back: self.mw_windows_rolled_back + o.mw_windows_rolled_back,
@@ -246,7 +244,6 @@ mod tests {
             destage_batches: 2,
             destage_blocks: 8,
             destage_stalls: 1,
-            reservation_cas_retries: 5,
             sequencer_handoffs: 2,
             mw_windows_resumed: 3,
             mw_windows_rolled_back: 1,
@@ -264,7 +261,6 @@ mod tests {
         assert_eq!(d.destage_batches, 2);
         assert_eq!(d.destage_blocks, 8);
         assert_eq!(d.destage_stalls, 1);
-        assert_eq!(d.reservation_cas_retries, 5);
         assert_eq!(d.sequencer_handoffs, 2);
         assert_eq!(d.mw_windows_resumed, 3);
         assert_eq!(d.mw_windows_rolled_back, 1);
@@ -285,7 +281,6 @@ mod tests {
             destage_blocks: 16,
             coalesced_flushes: 2,
             eviction_errors: 3,
-            reservation_cas_retries: 7,
             sequencer_handoffs: 4,
             ..Default::default()
         };
@@ -298,7 +293,6 @@ mod tests {
         assert_eq!(m.destage_blocks, 16);
         assert_eq!(m.coalesced_flushes, 2);
         assert_eq!(m.eviction_errors, 3);
-        assert_eq!(m.reservation_cas_retries, 7);
         assert_eq!(m.sequencer_handoffs, 4);
     }
 }

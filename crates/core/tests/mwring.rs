@@ -1,15 +1,15 @@
 // Integration tests are exempt from the crate's unwrap/expect ban.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-//! Integration tests for the multi-writer lock-free commit path
-//! (`CommitMode::LockFreeRing`, DESIGN §16): blocking commits, the
+//! Integration tests for the pool's ring commit pipeline (DESIGN §16):
+//! blocking commits, the
 //! steppable reserve/stage/publish/sequence API, conflict admission,
 //! failed-window sealing, spanning transactions, and recovery of
 //! unsequenced windows.
 
-use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
+use blockdev::{BlockDevice, DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{shard_devices, NvmConfig, NvmTech, SimClock};
-use tinca::{CommitMode, MwAdmission, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
+use tinca::{MwAdmission, PoolConfig, TincaConfig, TincaError, TincaPool, Txn};
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
     [byte; BLOCK_SIZE]
@@ -18,12 +18,10 @@ fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
 fn mw_pool_cfg(shards: usize) -> PoolConfig {
     PoolConfig {
         shards,
-        commit_mode: CommitMode::LockFreeRing,
         cache: TincaConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     }
 }
 
@@ -33,7 +31,7 @@ fn mw_pool(shards: usize, nvm_bytes: usize) -> TincaPool {
     TincaPool::format(devices, disk, mw_pool_cfg(shards))
 }
 
-/// Blocking commits through the lock-free path produce the same visible
+/// Blocking commits through the ring pipeline produce the same visible
 /// contents as any other path: overwrites coalesce, reads hit, and the
 /// per-commit counters advance.
 #[test]
@@ -54,6 +52,42 @@ fn mw_blocking_commits_read_back() {
     assert_eq!(st.committed_blocks, 20);
     p.flush_all().unwrap();
     p.check_consistency().unwrap();
+}
+
+/// A window past its meta phase (log-role entries in the dirty set,
+/// payload not staged yet) is a commit in flight: a cache-level
+/// `flush_all` taken in that gap must refuse rather than write the
+/// unstaged copy-on-write block over the committed disk block.
+#[test]
+fn flush_all_refuses_while_a_window_is_past_its_meta_phase() {
+    let devices = shard_devices(&NvmConfig::new(1 << 20, NvmTech::Pcm), 1);
+    let disk = SimDisk::new(DiskKind::Ssd, 1 << 20, SimClock::new());
+    let p = TincaPool::format(devices, disk.clone(), mw_pool_cfg(1));
+    let mut t = p.init_txn();
+    t.write(5, &blk(0x11));
+    p.commit(t).unwrap();
+
+    let mut t = p.init_txn();
+    t.write(5, &blk(0x22));
+    t.write(6, &blk(0x33));
+    let MwAdmission::Admitted(mut w) = p.mw_try_begin(t).unwrap() else {
+        panic!("idle shard refused admission");
+    };
+    let before = disk.stats();
+    let err = p.with_shard(0, tinca::TincaCache::flush_all).unwrap_err();
+    assert!(matches!(err, TincaError::CommitInProgress { .. }), "{err}");
+    assert_eq!(disk.stats(), before, "refused flush touched the disk");
+
+    // Once the window retires, the flush goes through with the new data.
+    p.mw_stage(&mut w);
+    p.mw_publish(w);
+    p.mw_sequence(0);
+    p.with_shard(0, tinca::TincaCache::flush_all).unwrap();
+    let mut buf = [0u8; BLOCK_SIZE];
+    disk.read_block(5, &mut buf).unwrap();
+    assert_eq!(buf[0], 0x22);
+    disk.read_block(6, &mut buf).unwrap();
+    assert_eq!(buf[0], 0x33);
 }
 
 /// The steppable API: two windows reserved in order, published out of
@@ -166,7 +200,7 @@ fn mw_failed_admission_seals_window_and_commits_continue() {
     p.flush_all().unwrap();
 }
 
-/// Spanning transactions in lock-free mode quiesce their participants and
+/// Spanning transactions quiesce their participants and
 /// run the two-phase intent protocol; both fragments land atomically.
 #[test]
 fn mw_spanning_commits_atomically_across_shards() {

@@ -1,8 +1,8 @@
 // Integration tests are exempt from the crate's unwrap/expect ban.
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-//! Property-based tests for the multi-writer lock-free commit path
-//! (DESIGN §16), driven through the steppable reserve/stage/publish/
+//! Property-based tests for the pool's ring commit pipeline with several
+//! windows in flight (DESIGN §16), driven through the steppable reserve/stage/publish/
 //! sequence API — deterministic single-thread interleavings, no OS
 //! threads.
 //!
@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use nvmsim::{shard_devices, CrashPolicy, CrashTripped, NvmConfig, NvmTech, SimClock};
 use proptest::prelude::*;
-use tinca::{CommitMode, MwAdmission, MwTicket, PoolConfig, TincaConfig, TincaPool};
+use tinca::{MwAdmission, MwTicket, PoolConfig, TincaConfig, TincaPool};
 
 fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
     [byte; BLOCK_SIZE]
@@ -32,12 +32,10 @@ fn blk(byte: u8) -> [u8; BLOCK_SIZE] {
 fn mw_cfg() -> PoolConfig {
     PoolConfig {
         shards: 1,
-        commit_mode: CommitMode::LockFreeRing,
         cache: TincaConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     }
 }
 

@@ -103,7 +103,6 @@ pub fn backlog_one_detailed(shards: usize, seed: u64) -> (BacklogOutcome, u64) {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     };
     let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
     let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();
@@ -115,7 +114,10 @@ pub fn backlog_one_detailed(shards: usize, seed: u64) -> (BacklogOutcome, u64) {
     let trip = 1 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 3_000);
     devices[trip_shard].set_trip(Some(trip));
 
-    let mut driver = OpenLoopDriver::new(spec, TincaServer::new(&pool, disk_clock));
+    // One service slot per shard, as in the latency_load figure this
+    // campaign backs: a strict-FIFO queue forms the deepest backlog.
+    let server = TincaServer::new(&pool, disk_clock).with_commit_concurrency(1);
+    let mut driver = OpenLoopDriver::new(spec, server);
     // blk → seq of the last *completed* write; shed write seqs must never
     // surface.
     let mut completed_seq: HashMap<u64, u64> = HashMap::new();
@@ -300,10 +302,10 @@ mod tests {
                     ring_bytes: 4096,
                     ..TincaConfig::default()
                 },
-                ..PoolConfig::default()
             },
         );
-        let r = OpenLoopDriver::new(spec, TincaServer::new(&pool, clock)).run();
+        let server = TincaServer::new(&pool, clock).with_commit_concurrency(1);
+        let r = OpenLoopDriver::new(spec, server).run();
         assert!(r.shed_queue_full > 0, "no backlog formed");
         assert!(r.completed > 0);
     }

@@ -1,8 +1,9 @@
-//! Crash campaigns for the **multi-writer lock-free commit path**
-//! (`CommitMode::LockFreeRing`, DESIGN §16).
+//! Crash campaigns for **several windows in flight** on the pool's ring
+//! commit pipeline (DESIGN §16).
 //!
-//! The mutex-path campaigns ([`crate::poolfuzz`], [`crate::frontier`])
-//! never leave more than one window in flight per shard. This module
+//! The blocking-commit campaigns ([`crate::poolfuzz`], [`crate::frontier`])
+//! drive one writer, so they never leave more than one window in flight
+//! per shard. This module
 //! drives the steppable window API directly — each *round* reserves and
 //! stages several disjoint windows (possibly on the same shard), publishes
 //! their `STAGED` descriptors in a rotated order, and only then runs the
@@ -35,7 +36,7 @@ use nvmsim::{
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tinca::{CommitMode, MwAdmission, MwTicket, PoolConfig, TincaConfig, TincaPool};
+use tinca::{MwAdmission, MwTicket, PoolConfig, TincaConfig, TincaPool};
 
 use crate::app::{campaign, run_recoverable, RecoverableApp};
 use crate::frontier::{epochs_from_trace, frontier_enumerate, FenceEpoch, FrontierReport};
@@ -112,12 +113,10 @@ fn build_mw_pool(shards: usize) -> (Vec<Nvm>, Disk, PoolConfig) {
     let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, clock);
     let pool_cfg = PoolConfig {
         shards,
-        commit_mode: CommitMode::LockFreeRing,
         cache: TincaConfig {
             ring_bytes: 4096,
             ..TincaConfig::default()
         },
-        ..PoolConfig::default()
     };
     (devices, disk, pool_cfg)
 }

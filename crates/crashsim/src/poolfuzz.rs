@@ -136,7 +136,6 @@ impl PoolApp {
                 ring_bytes: 4096,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         };
         let pool = TincaPool::format(devices.clone(), disk.clone(), pool_cfg.clone());
         let metadata_ranges: Vec<_> = (0..shards).map(|s| pool.shard_metadata_ranges(s)).collect();

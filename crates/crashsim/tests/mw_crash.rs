@@ -1,5 +1,5 @@
-//! Crash campaigns for the multi-writer lock-free commit path: rounds of
-//! concurrent windows crash mid-reservation, mid-staging,
+//! Crash campaigns for several windows in flight on the pool's ring:
+//! rounds of concurrent windows crash mid-reservation, mid-staging,
 //! mid-publication (descriptors flipped in rotated order), and
 //! mid-sequencing; recovery must resume-or-roll-back each window exactly
 //! once, keep every retired round durable, and leave every per-shard and

@@ -61,7 +61,6 @@ impl TincaStoreConfig {
                 ring_bytes: self.ring_bytes,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         }
     }
 }

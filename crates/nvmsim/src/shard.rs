@@ -48,12 +48,15 @@ pub fn shard_devices(cfg: &NvmConfig, shards: usize) -> Vec<crate::Nvm> {
 /// keeps one stable id across every shard it touches, which is what lets
 /// the happens-before engine follow it between shards.
 ///
-/// Events interleave deterministically by (per-shard ordinal, shard
-/// index) — a round-robin merge — and are re-numbered with fresh global
-/// `seq` ordinals. There is no cross-shard timeline to recover (each
-/// shard device has its own clock); any deterministic interleaving is
-/// equally valid for analysis because the per-thread and per-line
-/// orderings the rules consume are preserved within each shard stream.
+/// Events interleave in recording order ([`TracedOp::stamp`], ties —
+/// only possible in hand-built traces — broken by shard index) and are
+/// re-numbered with fresh global `seq` ordinals. The devices' simulated
+/// clocks are independent, but the happens-before engine follows each
+/// thread *across* shards, so the merge must keep every thread's program
+/// order and every release before the acquire that consumes it; an
+/// arbitrary interleaving (say, round-robin by per-shard ordinal) could
+/// move a thread's sync event ahead of its earlier events on another
+/// shard and fabricate happens-before edges.
 pub fn merge_shard_traces(per_shard: Vec<Vec<TracedOp>>, shard_capacity: usize) -> Vec<TracedOp> {
     assert!(
         shard_capacity.is_multiple_of(CACHE_LINE),
@@ -78,10 +81,10 @@ pub fn merge_shard_traces(per_shard: Vec<Vec<TracedOp>>, shard_capacity: usize) 
                 | TraceEvent::AtomicLoadAcquire { .. }
                 | TraceEvent::AtomicStoreRelease { .. } => {}
             }
-            tagged.push((op.seq, shard, op));
+            tagged.push((op.stamp, shard, op));
         }
     }
-    tagged.sort_by_key(|&(seq, shard, _)| (seq, shard));
+    tagged.sort_by_key(|&(stamp, shard, _)| (stamp, shard));
     tagged
         .into_iter()
         .enumerate()
@@ -150,17 +153,22 @@ mod tests {
         devs[1].note_commit(64, 8);
         let merged =
             merge_shard_traces(devs.iter().map(|d| d.take_trace()).collect::<Vec<_>>(), per);
-        // Round-robin by per-shard ordinal: s0#0, s1#0, s0#1, s1#1, …
+        // Recording order: all of shard 0's persist happened first, so it
+        // stays ahead of shard 1's (a per-shard-ordinal round-robin would
+        // interleave s0#0, s1#0, s0#1, …).
         assert_eq!(merged.len(), 7);
         for (i, op) in merged.iter().enumerate() {
             assert_eq!(op.seq, i as u64, "fresh global ordinals");
-            assert!(op.device < 2, "device tag is the shard index");
         }
-        assert_eq!(merged[0].device, 0);
-        assert_eq!(merged[1].device, 1);
+        let devices: Vec<u32> = merged.iter().map(|op| op.device).collect();
+        assert_eq!(
+            devices,
+            [0, 0, 0, 1, 1, 1, 1],
+            "device tag is the shard index"
+        );
         assert_eq!(merged[0].event, E::Store { addr: 0, len: 8 });
         assert_eq!(
-            merged[1].event,
+            merged[3].event,
             E::Store {
                 addr: per + 64,
                 len: 8

@@ -32,7 +32,7 @@
 //! side effects.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// One recorded device event.
 ///
@@ -123,6 +123,12 @@ pub struct TracedOp {
     /// analyzers can keep fence-epoch and commit-window state per device
     /// (an sfence only orders write-backs of its own device).
     pub device: u32,
+    /// Process-wide recording order: strictly increasing across every
+    /// device's trace, so [`crate::merge_shard_traces`] can interleave
+    /// shard traces in the order the events really happened — keeping
+    /// each thread's program order across shards and every sync hand-off
+    /// after the release it consumes. Hand-built ops use `seq`.
+    pub stamp: u64,
     pub event: TraceEvent,
 }
 
@@ -135,6 +141,7 @@ impl TracedOp {
             thread: 0,
             txn: None,
             device: 0,
+            stamp: seq,
             event,
         }
     }
@@ -146,10 +153,16 @@ impl TracedOp {
             thread,
             txn: None,
             device: 0,
+            stamp: seq,
             event,
         }
     }
 }
+
+/// Next recording-order stamp ([`TracedOp::stamp`]). One atomic's
+/// modification order is consistent with every thread's program order
+/// and with the lock and atomic hand-offs the sync annotations mirror.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
 
 /// Next process-unique trace thread id handed out lazily.
 static NEXT_TRACE_THREAD: AtomicU32 = AtomicU32::new(0);
@@ -225,6 +238,7 @@ impl TraceBuf {
             thread: trace_thread(),
             txn: trace_txn(),
             device: 0,
+            stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
             event,
         });
     }

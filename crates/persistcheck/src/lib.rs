@@ -12,7 +12,16 @@
 //! * **missing-flush** — a line stored inside the commit window (since the
 //!   previous commit/crash) is still dirty when the commit record
 //!   persists: a crash right after the commit point can lose data the
-//!   commit record claims durable.
+//!   commit record claims durable. A store that is not durable yet is
+//!   judged only by a commit record it *happens-before* (same thread, or
+//!   ordered by the sync annotations): a concurrent thread's in-flight
+//!   store cannot be covered by a record that never synchronised with
+//!   it, so it stays in the window for the first later record that
+//!   does. On a single-threaded trace every earlier store qualifies. A
+//!   passed-over store that is still not durable at a crash of its
+//!   device or at the end of the trace is reported then, so a record
+//!   that claims another thread's stores without synchronising with
+//!   them cannot hide an unflushed line.
 //! * **flush-without-fence** — a commit-window line was flushed but only
 //!   became durable on the *same* `sfence` as the commit record itself.
 //!   Within one fence epoch write-backs are unordered, so a crash inside
@@ -349,6 +358,18 @@ struct LineState {
     device: u32,
 }
 
+/// The latest store to a commit-window line.
+#[derive(Clone, Copy, Debug)]
+struct WindowStore {
+    /// Event ordinal of the store.
+    seq: u64,
+    /// Happens-before epoch of the storing thread at the store.
+    epoch: (usize, u64),
+    /// The first commit record that passed the store over: it was not
+    /// durable yet and did not happen-before that record.
+    passed_by: Option<u64>,
+}
+
 /// Per-device fence-pipeline state. A single-device trace (`device == 0`
 /// on every op) uses exactly one of these; a merged shard trace
 /// ([`nvmsim::merge_shard_traces`]) gets one per shard, because an
@@ -358,9 +379,9 @@ struct LineState {
 struct DevState {
     /// Lines flushed into this device's currently open fence epoch.
     epoch_lines: Vec<usize>,
-    /// Lines stored on this device since its last commit/crash →
-    /// ordinal of the latest store.
-    window: HashMap<usize, u64>,
+    /// Lines stored on this device and not yet judged by a commit record
+    /// (or cleared by a crash) → their latest store.
+    window: HashMap<usize, WindowStore>,
     /// sfences seen on this device so far (1-based epoch ids).
     fences: u64,
 }
@@ -432,7 +453,15 @@ impl Checker {
     /// Snapshot of the findings so far (strict end-of-trace checks not
     /// applied — use [`Checker::finish`] for those).
     pub fn report(&self) -> Report {
-        self.report.clone()
+        let mut report = self.report.clone();
+        let mut devices: Vec<u32> = self.devs.keys().copied().collect();
+        devices.sort_unstable();
+        for d in devices {
+            report
+                .violations
+                .extend(self.passed_over(d, "the end of the trace"));
+        }
+        report
     }
 
     /// Consumes the checker, applying strict end-of-trace checks when
@@ -445,7 +474,47 @@ impl Checker {
                 self.flag_open_epoch(d, seq, "end of trace");
             }
         }
-        self.report
+        self.report()
+    }
+
+    /// Stores some commit record passed over — not durable yet, and not
+    /// ordered before that record — that are *still* not durable at `at`
+    /// on device `d`, as missing-flush violations. Either the record
+    /// claimed data it never synchronised with (say, a sequencer that
+    /// fenced and committed a window whose publication it never
+    /// acquired), or nothing ever persisted the store: no later record
+    /// that happens-after it judged it before the trace ended or the
+    /// device crashed.
+    fn passed_over(&self, d: u32, at: &str) -> Vec<Violation> {
+        let Some(dev) = self.devs.get(&d) else {
+            return Vec::new();
+        };
+        let mut open: Vec<(usize, WindowStore, u64)> = dev
+            .window
+            .iter()
+            .filter_map(|(&line, &store)| {
+                let passed = store.passed_by?;
+                let ls = self.lines.get(&line)?;
+                (ls.dirty || ls.staged).then_some((line, store, passed))
+            })
+            .collect();
+        open.sort_by_key(|&(line, store, _)| (store.seq, line));
+        open.into_iter()
+            .map(|(line, store, passed)| {
+                let base = line * CACHE_LINE;
+                Violation {
+                    rule: Rule::MissingFlush,
+                    addr: base,
+                    events: vec![store.seq, passed],
+                    detail: format!(
+                        "line {base:#x} stored at #{} was not durable when the commit record \
+                         at #{passed} passed it over without a happens-before edge, and is \
+                         still not durable at {at}",
+                        store.seq
+                    ),
+                }
+            })
+            .collect()
     }
 
     fn on_store(&mut self, t: u32, d: u32, seq: u64, addr: usize, len: usize, atomic: bool) {
@@ -477,7 +546,12 @@ impl Checker {
             let ls = self.lines.entry(line).or_default();
             ls.dirty = true;
             ls.device = d;
-            self.devs.entry(d).or_default().window.insert(line, seq);
+            let store = WindowStore {
+                seq,
+                epoch: self.race.epoch(t),
+                passed_by: None,
+            };
+            self.devs.entry(d).or_default().window.insert(line, store);
         }
     }
 
@@ -531,15 +605,33 @@ impl Checker {
         let dev = self.devs.entry(d).or_default();
         let dev_fences = dev.fences;
         // Deterministic report order: judge window lines oldest-store first.
-        let mut entries: Vec<(usize, u64)> = dev.window.drain().collect();
-        entries.sort_by_key(|&(l, s)| (s, l));
-        for (line, store_seq) in entries {
+        let mut entries: Vec<(usize, WindowStore)> = dev.window.drain().collect();
+        entries.sort_by_key(|&(l, w)| (w.seq, l));
+        let mut deferred = Vec::new();
+        for (line, store) in entries {
+            let store_seq = store.seq;
             if (rec_first..=rec_last).contains(&line) {
                 continue; // the commit record itself
             }
             let Some(ls) = self.lines.get(&line) else {
                 continue;
             };
+            let durable = !ls.dirty && ls.last_fence != dev_fences;
+            if !durable && !self.race.hb_before(store.epoch, t) {
+                // A concurrent thread's store that is not durable yet:
+                // this record never synchronised with it, so it cannot
+                // cover it. A later record that does will judge it; if
+                // none does and it never becomes durable, the end of the
+                // trace or a crash reports it (`passed_over`).
+                deferred.push((
+                    line,
+                    WindowStore {
+                        passed_by: store.passed_by.or(Some(seq)),
+                        ..store
+                    },
+                ));
+                continue;
+            }
             let base = line * CACHE_LINE;
             if ls.dirty {
                 self.report.violations.push(Violation {
@@ -571,6 +663,9 @@ impl Checker {
                     .commit_check(t, seq, line, &mut self.report.violations);
             }
         }
+        if let Some(dev) = self.devs.get_mut(&d) {
+            dev.window.extend(deferred);
+        }
     }
 
     fn on_crash(&mut self, d: u32, seq: u64) {
@@ -579,6 +674,8 @@ impl Checker {
         if self.cfg.strict {
             self.flag_open_epoch(d, seq, "crash");
         }
+        let lost = self.passed_over(d, &format!("the crash at #{seq}"));
+        self.report.violations.extend(lost);
         // The crashed device drops its volatile state; mirror it. Other
         // devices of a merged trace keep theirs — power is per device.
         for ls in self.lines.values_mut() {
@@ -949,6 +1046,112 @@ mod tests {
             ),
         ];
         assert!(check(&ok, CheckConfig::default()).is_clean());
+    }
+
+    /// t0 stages line 2 (store, then optionally flush + fence) while t1
+    /// commits a record on line 0 it never synchronised with; t0 then
+    /// publishes (release on object 9), t1 adopts it (acquire) and
+    /// commits again — the shape of one pipelined writer and a sequencer.
+    fn in_flight_then_published_trace(persist_before_publish: bool) -> Vec<TracedOp> {
+        let mut t = Vec::new();
+        let mut seq = 0u64;
+        let mut push = |thread: u32, e: E, t: &mut Vec<TracedOp>| {
+            t.push(op(seq, thread, e));
+            seq += 1;
+        };
+        let commit = |push: &mut dyn FnMut(u32, E, &mut Vec<TracedOp>), t: &mut Vec<TracedOp>| {
+            push(1, E::AtomicStore { addr: 0, len: 8 }, t);
+            push(
+                1,
+                E::Clflush {
+                    line: 0,
+                    staged: true,
+                },
+                t,
+            );
+            push(1, E::Sfence { staged_lines: 1 }, t);
+            push(1, E::Commit { addr: 0, len: 8 }, t);
+        };
+        push(0, E::Store { addr: 128, len: 8 }, &mut t);
+        commit(&mut push, &mut t);
+        if persist_before_publish {
+            push(
+                0,
+                E::Clflush {
+                    line: 2,
+                    staged: true,
+                },
+                &mut t,
+            );
+            push(0, E::Sfence { staged_lines: 1 }, &mut t);
+        }
+        push(0, E::AtomicStoreRelease { obj: 9 }, &mut t);
+        push(1, E::AtomicLoadAcquire { obj: 9 }, &mut t);
+        commit(&mut push, &mut t);
+        t
+    }
+
+    #[test]
+    fn concurrent_in_flight_store_is_judged_by_the_record_it_reaches() {
+        // Unflushed at publication: the first record (concurrent) does
+        // not judge line 2, the second (ordered after the publish) does.
+        let r = check(
+            &in_flight_then_published_trace(false),
+            CheckConfig::default(),
+        );
+        assert_eq!(r.count(Rule::MissingFlush), 1, "{r}");
+        let v = &r.violations[0];
+        assert_eq!(v.addr, 128);
+        assert_eq!(v.events, [0, 10], "cites t0's store and t1's second record");
+        // Persisted before publication: clean.
+        let r = check(
+            &in_flight_then_published_trace(true),
+            CheckConfig::default(),
+        );
+        assert!(r.is_clean(), "{r}");
+    }
+
+    /// t0 stores line 2 and never flushes it; t1 persists and annotates a
+    /// commit record without ever acquiring anything from t0 — a
+    /// sequencer committing a window whose publication it never adopted.
+    /// Optionally t0's device then crashes.
+    fn unacquired_record_trace(crash: bool) -> Vec<TracedOp> {
+        let mut t = vec![
+            op(0, 0, E::Store { addr: 128, len: 8 }),
+            op(1, 1, E::AtomicStore { addr: 0, len: 8 }),
+            op(
+                2,
+                1,
+                E::Clflush {
+                    line: 0,
+                    staged: true,
+                },
+            ),
+            op(3, 1, E::Sfence { staged_lines: 1 }),
+            op(4, 1, E::Commit { addr: 0, len: 8 }),
+        ];
+        if crash {
+            t.push(op(5, 0, E::Crash));
+        }
+        t
+    }
+
+    #[test]
+    fn record_without_acquire_cannot_hide_an_unflushed_store() {
+        // The record passes the store over (no happens-before edge), but
+        // it is still dirty when the trace ends: reported, citing the
+        // store and the record that passed it.
+        let r = check(&unacquired_record_trace(false), CheckConfig::default());
+        assert_eq!(r.count(Rule::MissingFlush), 1, "{r}");
+        assert_eq!(r.violations[0].addr, 128);
+        assert_eq!(r.violations[0].events, [0, 4]);
+        assert!(r.violations[0].detail.contains("end of the trace"), "{r}");
+        // The same when the device crashes before anyone persists it —
+        // reported once, at the crash.
+        let r = check(&unacquired_record_trace(true), CheckConfig::default());
+        assert_eq!(r.count(Rule::MissingFlush), 1, "{r}");
+        assert_eq!(r.violations[0].events, [0, 4]);
+        assert!(r.violations[0].detail.contains("crash at #5"), "{r}");
     }
 
     /// t0 persists data; t1 persists its own commit record and annotates

@@ -292,6 +292,21 @@ impl RaceEngine {
         }
     }
 
+    /// `t`'s current epoch: its dense index and its own clock component.
+    /// An event stamped with this epoch happens-before a later event of
+    /// thread `u` iff [`hb_before`](Self::hb_before) says so.
+    pub(crate) fn epoch(&mut self, t: u32) -> (usize, u64) {
+        let i = self.idx(t);
+        (i, self.threads[i].vc.0[i])
+    }
+
+    /// True iff the event stamped `epoch` happens-before `t`'s current
+    /// event (always true for `t`'s own earlier events).
+    pub(crate) fn hb_before(&mut self, (i, c): (usize, u64), t: u32) -> bool {
+        let j = self.idx(t);
+        self.threads[j].vc.0.get(i).copied().unwrap_or(0) >= c
+    }
+
     /// A commit by `t` covers `line` (fenced in an earlier epoch): flags a
     /// durability fence issued by another thread with no edge into the
     /// commit.

@@ -26,20 +26,43 @@ pub const COMMIT_POINT: &str = "commit.point";
 pub const COMMIT_WRITE_THROUGH: &str = "commit.write_through";
 /// Revoking staged blocks after a failed commit.
 pub const COMMIT_REVOKE: &str = "commit.revoke";
-/// Group commit: leader draining and committing a batch.
-pub const COMMIT_GROUP_LEAD: &str = "commit.group.lead";
-/// Group commit: follower waiting for its leader's commit point.
-pub const COMMIT_GROUP_WAIT: &str = "commit.group.wait";
 /// Two-phase spanning commit: intent publish, per-shard fragment
 /// prepares, resolve, and window retirement (pool-level; the per-shard
-/// fragment work nests `commit` spans underneath).
+/// fragment work nests ring and `commit` spans underneath).
 pub const COMMIT_SPANNING: &str = "commit.spanning";
+
+/// Pool ring pipeline, step 1: reserve a window (conflict claim,
+/// descriptor slot, cursor advance, registration; DRAM only).
+pub const RING_RESERVE: &str = "ring.reserve";
+/// Step 2: latched meta phase under the cache lock (block allocation,
+/// log-role entries, ring slots, `RESERVED` descriptor; flushed, unfenced).
+pub const RING_META: &str = "ring.meta";
+/// Step 3: payload staging (COW write + flush per block, no lock), for a
+/// window or a spanning fragment. Charged, not a span: it runs on the
+/// writer's private clock, so it overlaps other writers; the shard clock
+/// pays for it as `ring.wait` inside the sequencer round or before a
+/// spanning batch's prepare.
+pub const RING_STAGE: &str = "ring.stage";
+/// Step 4: publication (one 8 B `STAGED` descriptor store + flush), on
+/// the writer's private clock and charged like [`RING_STAGE`].
+pub const RING_PUBLISH: &str = "ring.publish";
+/// Step 5: sequencer round (drain fence, `Head` commit point, role
+/// switch, `Tail`, descriptor retirement) for a prefix of windows.
+pub const RING_SEQUENCE: &str = "ring.sequence";
+/// Waiting behind the ring: a writer parked for admission, for another
+/// thread's sequencer round, or for an earlier window to publish; and,
+/// inside a sequencer round or before a spanning batch's prepare, the
+/// shard clock catching up with the slowest writer's private staging
+/// clock.
+pub const RING_WAIT: &str = "ring.wait";
 
 /// Cache read path (hit or miss+fill).
 pub const CACHE_READ: &str = "cache.read";
 /// Eviction: choosing and reclaiming a victim block.
 pub const CACHE_EVICT: &str = "cache.evict";
-/// Dirty-block writeback to the backing disk.
+/// Dirty-block writeback to the backing disk: one span per written-back
+/// block on the eviction path, one per vectored batch (up to
+/// `destage_batch` address-sorted blocks) inside [`CACHE_FLUSH_ALL`].
 pub const CACHE_WRITEBACK: &str = "cache.writeback";
 /// Full-cache flush (drain all dirty blocks).
 pub const CACHE_FLUSH_ALL: &str = "cache.flush_all";

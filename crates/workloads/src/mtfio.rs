@@ -18,9 +18,10 @@
 //!   time, which equals wall time for a single shard.
 //!
 //! `wall = max` assumes one service context per shard — i.e. zero queue
-//! wait on the shard mutexes. When `threads > shards` that is
-//! optimistic: excess threads serialise on the shard locks but the model
-//! still credits them with perfect parallelism. The report therefore also
+//! wait on the shard locks. When `threads > shards` that is
+//! optimistic: excess threads queue on the shard's cache lock and
+//! sequencer rounds but the model still credits them with perfect
+//! parallelism. The report therefore also
 //! carries `contended_wall_ns`, a list-scheduling (Graham-bound) estimate
 //! that caps parallelism at `min(threads, shards)` service contexts:
 //! `min(busy, busy / p + wall)`. It degrades exactly to `busy_ns` for one
@@ -37,15 +38,14 @@
 //!
 //! ## Multi-writer contention mode
 //!
-//! [`MtFio::run`] measures *shard*-level parallelism: excess threads on
-//! one shard still serialise behind its commit mutex. When the pool runs
-//! [`tinca::CommitMode::LockFreeRing`],
-//! [`MtFio::run_multi_writer`] instead drives true
+//! [`MtFio::run`] measures *shard*-level parallelism with real OS
+//! threads, whose interleaving the OS decides.
+//! [`MtFio::run_multi_writer`] instead drives
 //! *intra-shard* write concurrency through the steppable window API —
 //! several logical writers hold reserved windows on the **same** shard
 //! at once, stage on private clocks, and retire through one sequencer
 //! round. Because the interleaving is scripted on a single OS thread, the
-//! run is deterministic, which is what mode-vs-mode comparisons (the
+//! run is deterministic, which is what writer-count comparisons (the
 //! `mw_scaling` figure) require.
 
 use blockdev::BLOCK_SIZE;
@@ -124,7 +124,7 @@ impl MtReport {
 
     /// Operations per simulated second of *contended* wall time — the
     /// conservative companion number for runs where `threads > shards`
-    /// (threads queue on the shard mutexes; `wall = max` hides that).
+    /// (threads queue on the shard locks; `wall = max` hides that).
     pub fn contended_ops_per_sec(&self) -> f64 {
         if self.contended_wall_ns == 0 {
             return 0.0;
@@ -138,14 +138,13 @@ impl MtReport {
         self.nvm.clflush as f64 / self.write_txns.max(1) as f64
     }
 
-    /// Fraction of committed transactions that rode a multi-transaction
-    /// ring commit.
+    /// Fraction of committed transactions that rode a sequencer round
+    /// retiring more than one window.
     pub fn batched_fraction(&self) -> f64 {
-        let committed = (self.cache.commits - self.cache.group_commits) + self.cache.batched_txns;
-        if committed == 0 {
+        if self.cache.commits == 0 {
             return 0.0;
         }
-        self.cache.batched_txns as f64 / committed as f64
+        self.cache.batched_txns as f64 / self.cache.commits as f64
     }
 }
 
@@ -250,8 +249,7 @@ impl MtFio {
         self.finish(pool, base, read_ops, write_txns)
     }
 
-    /// Runs the measured phase in **multi-writer contention mode**: the
-    /// pool must run [`tinca::CommitMode::LockFreeRing`], and
+    /// Runs the measured phase in **multi-writer contention mode**:
     /// `spec.threads` *logical* writers are interleaved deterministically
     /// on one OS thread through the steppable window API
     /// (`mw_try_begin` → `mw_stage` → `mw_publish` → `mw_sequence`).
@@ -262,9 +260,11 @@ impl MtFio {
     /// shard: staging charges land on private clocks and only the
     /// sequencer's single fence-and-`Head`-store round serialises on the
     /// shard clock. Publish order rotates per round to exercise
-    /// out-of-ring-order publication. Unlike [`run`](Self::run) this is
-    /// bit-for-bit deterministic (no OS-thread interleaving), which is
-    /// what the `mw_scaling` figure needs to compare modes.
+    /// out-of-ring-order publication. With one writer the pipeline has
+    /// one window in flight at a time — the serialised baseline the
+    /// `mw_scaling` figure prices the overlap against. Unlike
+    /// [`run`](Self::run) this is bit-for-bit deterministic (no OS-thread
+    /// interleaving), which is what comparing writer counts needs.
     pub fn run_multi_writer(&self, pool: &TincaPool) -> MtReport {
         let base = Baseline::take(pool);
         let spec = &self.spec;
@@ -340,62 +340,6 @@ impl MtFio {
                 }
             }
             Self::mw_flush_round(pool, &mut pending, round as usize);
-        }
-        self.finish(pool, base, read_ops, write_txns)
-    }
-
-    /// Replays the **exact** multi-writer lane workload through the
-    /// blocking commit path: same writer RNG streams, same blocks, same
-    /// fill values, same round-robin writer order — only the commit
-    /// mechanism differs. The `mw_scaling` figure prices the lock-free
-    /// pipeline against mutex+leader/follower on identical work with
-    /// this. One OS thread drives the round-robin, so the mutex path
-    /// sees no follower batching — it pays the full serialised
-    /// per-transaction cost, the same c = 1 service model the open-loop
-    /// tier uses for `MutexGroup`.
-    pub fn run_lanes_blocking(&self, pool: &TincaPool) -> MtReport {
-        let base = Baseline::take(pool);
-        let spec = &self.spec;
-        let shards = pool.shard_count();
-        let writers = spec.threads;
-        let wps = writers.div_ceil(shards) as u64;
-        let per = (spec.blocks / writers as u64).max(spec.txn_blocks as u64);
-        let block_of = |w: usize, k: u64| -> u64 {
-            let s = (w % shards) as u64;
-            let lane = (w / shards) as u64;
-            s + shards as u64 * (lane + wps * (k % per))
-        };
-        let mut rngs: Vec<StdRng> = (0..writers)
-            .map(|w| {
-                let stream = spec
-                    .seed
-                    .wrapping_add((w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                StdRng::seed_from_u64(stream)
-            })
-            .collect();
-        let mut read_ops = 0u64;
-        let mut write_txns = 0u64;
-        let mut wbuf = [0u8; BLOCK_SIZE];
-        let mut rbuf = [0u8; BLOCK_SIZE];
-        for _round in 0..spec.ops_per_thread {
-            for (w, rng) in rngs.iter_mut().enumerate() {
-                nvmsim::set_trace_thread(2000 + w as u32);
-                if rng.gen_range(0..100) < spec.read_pct {
-                    let b = block_of(w, rng.gen_range(0..per));
-                    pool.read(b, &mut rbuf)
-                        .expect("workload disk is fault-free");
-                    read_ops += 1;
-                    continue;
-                }
-                let mut txn = pool.init_txn();
-                for _ in 0..spec.txn_blocks {
-                    let b = block_of(w, rng.gen_range(0..per));
-                    wbuf.fill(rng.gen());
-                    txn.write(b, &wbuf);
-                }
-                pool.commit(txn).expect("lane workload commit");
-                write_txns += 1;
-            }
         }
         self.finish(pool, base, read_ops, write_txns)
     }
@@ -482,7 +426,6 @@ mod tests {
                     ring_bytes: 4096,
                     ..TincaConfig::default()
                 },
-                ..PoolConfig::default()
             },
         )
     }
@@ -526,12 +469,17 @@ mod tests {
         assert!(r.contended_ops_per_sec() <= r.ops_per_sec());
         assert!(r.contended_ops_per_sec() > 0.0);
         pool.check_consistency().unwrap();
-        // Commit accounting stays sane under concurrency: every committed
-        // txn fragment rode exactly one ring commit, and a spanning txn
-        // contributes one fragment per shard it touches.
+        // Commit accounting stays sane under concurrency: `commits`
+        // counts one per single-shard txn and one per fragment of a
+        // spanning txn, so it never falls below the txns committed.
         let c = r.cache;
-        let fragments = (c.commits - c.group_commits) + c.batched_txns;
-        assert!(fragments >= r.write_txns, "{fragments} < {}", r.write_txns);
+        assert!(
+            c.commits >= r.write_txns,
+            "{} < {}",
+            c.commits,
+            r.write_txns
+        );
+        assert!(c.batched_txns <= c.commits);
         assert_eq!(c.failed_commits, 0);
     }
 
@@ -553,27 +501,9 @@ mod tests {
         );
     }
 
-    fn make_mw_pool(shards: usize) -> TincaPool {
-        let devices = shard_devices(&NvmConfig::new(8 << 20, NvmTech::Pcm), shards);
-        let disk = SimDisk::new(DiskKind::Ssd, 16 << 20, SimClock::new());
-        TincaPool::format(
-            devices,
-            disk,
-            PoolConfig {
-                shards,
-                commit_mode: tinca::CommitMode::LockFreeRing,
-                cache: TincaConfig {
-                    ring_bytes: 4096,
-                    ..TincaConfig::default()
-                },
-                ..PoolConfig::default()
-            },
-        )
-    }
-
     #[test]
     fn multi_writer_single_writer_reports_exact_counts() {
-        let pool = make_mw_pool(1);
+        let pool = make_pool(1);
         let fio = MtFio::new(MtFioSpec {
             read_pct: 30,
             ..MtFioSpec::smoke(1)
@@ -590,7 +520,7 @@ mod tests {
 
     #[test]
     fn multi_writer_contends_on_one_shard_and_groups_commits() {
-        let pool = make_mw_pool(1);
+        let pool = make_pool(1);
         let fio = MtFio::new(MtFioSpec {
             threads: 8,
             read_pct: 0,
@@ -622,7 +552,7 @@ mod tests {
             seed: 0x3712,
         };
         let run = || {
-            let pool = make_mw_pool(2);
+            let pool = make_pool(2);
             let r = MtFio::new(spec.clone()).run_multi_writer(&pool);
             (r.wall_ns, r.busy_ns, r.nvm.clflush, r.cache.commits)
         };
@@ -630,32 +560,29 @@ mod tests {
     }
 
     #[test]
-    fn multi_writer_overlap_beats_mutex_serialisation() {
-        // Same write-only contention shape — 8 writers on one shard —
-        // under both commit modes. The lock-free ring stages the eight
-        // windows of each round on private clocks, so its simulated wall
-        // time must beat the mutex path, where every staging charge
-        // serialises on the shard clock.
-        let spec = MtFioSpec {
-            threads: 8,
+    fn multi_writer_overlap_beats_serial_pipeline() {
+        // Same write-only work per transaction on one shard, with eight
+        // windows in flight per round versus one. Eight writers stage
+        // their windows on private clocks and share each round's fence
+        // and `Head` store, so their simulated cost per transaction must
+        // beat the single writer's, whose every step serialises on the
+        // shard clock.
+        let spec = |threads| MtFioSpec {
+            threads,
             read_pct: 0,
             blocks: 512,
-            ops_per_thread: 40,
+            ops_per_thread: 320 / threads as u64,
             txn_blocks: 4,
             seed: 0x3713,
         };
-        let mw_pool = make_mw_pool(1);
-        let mw = MtFio::new(spec.clone()).run_multi_writer(&mw_pool);
-
-        let mutex_pool = make_pool(1);
-        let mutex = MtFio::new(spec).run(&mutex_pool);
-
-        assert_eq!(mw.write_txns, mutex.write_txns);
+        let many = MtFio::new(spec(8)).run_multi_writer(&make_pool(1));
+        let one = MtFio::new(spec(1)).run_multi_writer(&make_pool(1));
+        assert_eq!(many.write_txns, one.write_txns);
         assert!(
-            mw.wall_ns < mutex.wall_ns,
-            "lock-free {} ns must beat mutex {} ns",
-            mw.wall_ns,
-            mutex.wall_ns
+            many.wall_ns < one.wall_ns,
+            "8 writers {} ns must beat 1 writer {} ns",
+            many.wall_ns,
+            one.wall_ns
         );
     }
 

@@ -295,7 +295,7 @@ pub trait OpenLoopServer {
     /// Service slots per shard. `1` (the default) models a strict-FIFO
     /// single server: an op waits until the shard clock is free. A
     /// backend whose commit path admits several writers at once — the
-    /// lock-free ring of `CommitMode::LockFreeRing` — returns its
+    /// ring pipeline of a [`TincaPool`] — returns its
     /// admission bound, and the driver lets up to that many ops be in
     /// service concurrently, so queue wait starts only when every slot
     /// is held.
@@ -318,9 +318,9 @@ pub struct TincaServer<'a> {
     pool: &'a TincaPool,
     shard_clocks: Vec<SimClock>,
     disk_clock: SimClock,
-    /// Per-shard service multiplicity, derived from the pool's commit
-    /// mode (1 for the mutex path, the window-descriptor capacity for
-    /// the lock-free ring).
+    /// Per-shard service multiplicity: the pool's window-descriptor
+    /// capacity unless narrowed with
+    /// [`with_commit_concurrency`](Self::with_commit_concurrency).
     commit_concurrency: usize,
 }
 
@@ -339,7 +339,7 @@ impl<'a> TincaServer<'a> {
         }
     }
 
-    /// Overrides the service multiplicity the pool's commit mode implies
+    /// Overrides the service multiplicity the pool's ring implies
     /// (e.g. to model a bounded writer pool narrower than the
     /// descriptor-table capacity).
     pub fn with_commit_concurrency(mut self, c: usize) -> TincaServer<'a> {
@@ -784,7 +784,6 @@ mod tests {
                     ring_bytes: 4096,
                     ..TincaConfig::default()
                 },
-                ..PoolConfig::default()
             },
         );
         (pool, disk_clock)
@@ -864,10 +863,11 @@ mod tests {
         let server = TincaServer::new(&pool, disk_clock);
         let quiet = OpenLoopDriver::new(OpenLoopSpec::smoke(1_000.0), server).run();
 
+        // One service slot per shard (strict FIFO): far past capacity the
+        // backlog grows without bound, so arrival-to-completion latency
+        // dwarfs service time.
         let (pool2, disk_clock2) = make_pool(2);
-        let server2 = TincaServer::new(&pool2, disk_clock2);
-        // Far past capacity: the backlog grows without bound, so
-        // arrival-to-completion latency dwarfs service time.
+        let server2 = TincaServer::new(&pool2, disk_clock2).with_commit_concurrency(1);
         let hot = OpenLoopDriver::new(OpenLoopSpec::smoke(100_000_000.0), server2).run();
         assert_eq!(hot.completed, hot.offered, "unbounded queue never sheds");
         assert!(
@@ -883,62 +883,39 @@ mod tests {
         assert!(hot.delivered_ops_per_sec() < 0.5 * 100_000_000.0);
     }
 
-    fn make_mw_pool(shards: usize) -> (TincaPool, SimClock) {
-        let devices = shard_devices(&NvmConfig::new(shards * (2 << 20), NvmTech::Pcm), shards);
-        let disk_clock = SimClock::new();
-        let disk = SimDisk::new(DiskKind::Ssd, 1 << 16, disk_clock.clone());
-        let pool = TincaPool::format(
-            devices,
-            disk,
-            PoolConfig {
-                shards,
-                commit_mode: tinca::CommitMode::LockFreeRing,
-                cache: TincaConfig {
-                    ring_bytes: 4096,
-                    ..TincaConfig::default()
-                },
-                ..PoolConfig::default()
-            },
-        );
-        (pool, disk_clock)
-    }
-
     #[test]
     fn concurrent_commit_path_cuts_overload_queue_wait() {
-        // Same overload against both commit modes. The mutex pool is a
-        // strict-FIFO single server per shard, so queue wait stacks up
-        // one full service time per backlogged op; the lock-free ring
-        // admits a window per writer, and the driver's multi-slot model
-        // lets ops wait only for a slot, not for every earlier op.
-        let (mutex_pool, mutex_clk) = make_pool(2);
-        let mutex_server = TincaServer::new(&mutex_pool, mutex_clk);
-        assert_eq!(mutex_server.concurrency(0), 1);
-        let mutex = OpenLoopDriver::new(OpenLoopSpec::smoke(100_000_000.0), mutex_server).run();
+        // Same overload against one service slot per shard and against
+        // the ring's full admission width. A single slot is a strict-FIFO
+        // server, so queue wait stacks up one full service time per
+        // backlogged op; the ring admits a window per writer, and the
+        // driver's multi-slot model lets ops wait only for a slot, not
+        // for every earlier op.
+        let (fifo_pool, fifo_clk) = make_pool(2);
+        let fifo_server = TincaServer::new(&fifo_pool, fifo_clk).with_commit_concurrency(1);
+        let fifo = OpenLoopDriver::new(OpenLoopSpec::smoke(100_000_000.0), fifo_server).run();
 
-        let (mw_pool, mw_clk) = make_mw_pool(2);
+        let (mw_pool, mw_clk) = make_pool(2);
         let mw_server = TincaServer::new(&mw_pool, mw_clk);
-        assert!(mw_server.concurrency(0) > 1, "ring mode must widen service");
+        assert!(mw_server.concurrency(0) > 1, "the ring must widen service");
         let mw = OpenLoopDriver::new(OpenLoopSpec::smoke(100_000_000.0), mw_server).run();
 
         assert_eq!(mw.completed, mw.offered);
-        assert_eq!(mw.reads + mw.writes, mutex.reads + mutex.writes);
-        let (mw_p99, mutex_p99) = (
-            mw.queue_wait.p99().unwrap(),
-            mutex.queue_wait.p99().unwrap(),
-        );
+        assert_eq!(mw.reads + mw.writes, fifo.reads + fifo.writes);
+        let (mw_p99, fifo_p99) = (mw.queue_wait.p99().unwrap(), fifo.queue_wait.p99().unwrap());
         assert!(
-            mw_p99 * 4 < mutex_p99,
-            "concurrent path p99 wait {mw_p99} should sit far below mutex {mutex_p99}"
+            mw_p99 * 4 < fifo_p99,
+            "concurrent path p99 wait {mw_p99} should sit far below one slot's {fifo_p99}"
         );
         mw_pool.check_consistency().unwrap();
     }
 
     #[test]
     fn narrowed_concurrency_degrades_to_fifo_model() {
-        // Forcing one slot on a lock-free-ring pool reproduces the
+        // Forcing one slot on the pool reproduces the
         // strict-FIFO queue-wait accounting: latency == wait + service
         // with completions stamped straight off the shard clock.
-        let (pool, clk) = make_mw_pool(1);
+        let (pool, clk) = make_pool(1);
         let server = TincaServer::new(&pool, clk).with_commit_concurrency(1);
         assert_eq!(server.concurrency(0), 1);
         let r = OpenLoopDriver::new(OpenLoopSpec::smoke(1_000.0), server).run();

@@ -48,7 +48,6 @@ fn make_pool(shards: usize) -> (TincaPool, SimClock) {
                 ring_bytes: 4096,
                 ..TincaConfig::default()
             },
-            ..PoolConfig::default()
         },
     );
     (pool, disk_clock)
