@@ -11,29 +11,28 @@
 //! write + fsync), Tinca's knee sits at a strictly higher offered load.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
-//! `BENCH_6.json` at the repo root with the `{figure,headers,rows}`
-//! payload, a flat `gate` object for `perfgate` (knee throughput and
-//! sub-knee p99, ±5 %), and the crash-mid-backlog campaign verdict.
+//! the [`crate::ledger`] summary `BENCH_6.json` at the repo root: knee
+//! throughput and sub-knee p99 gated by `perfgate`, the
+//! crash-mid-backlog campaign, and the figure rows as context.
 //!
 //! Every Tinca point runs on traced NVM devices and must pass the
 //! per-shard persist-order audit — saturation (a deep backlog, destage
 //! under pressure) must not bend the commit protocol.
 
-use std::fs;
-
 use blockdev::{DiskKind, SimDisk};
 use crashsim::BacklogReport;
 use nvmsim::{shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
-use telemetry::Json;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 use workloads::openloop::{
     probe_capacity, Arrivals, ClassicServer, OpenLoopDriver, OpenLoopReport, OpenLoopSpec,
     TincaServer,
 };
 
+use crate::ledger::Better::{Higher, Info, Lower};
+use crate::ledger::Ledger;
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, figure_json, fmt, write_csv};
 
 /// A delivered:offered ratio at or above this is "keeping up"; the knee
 /// is the largest ladder rate that still clears it.
@@ -264,55 +263,32 @@ pub fn run(quick: bool) -> LatencyLoadResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_6.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI (string-extraction
-    // parsing: keep names stable, keep the object flat).
-    let gate = Json::obj(vec![
-        ("tinca_knee_ops_per_sec", tinca_knee.into()),
-        ("tinca_p99_ns_subknee", tinca_p99_subknee.into()),
-        ("classic_knee_ops_per_sec", classic_knee.into()),
-        ("classic_p99_ns_subknee", classic_p99_subknee.into()),
-    ]);
-    let campaign_json = Json::obj(vec![
-        ("runs", campaign.runs.into()),
-        ("crashes", campaign.crashes.into()),
-        ("shed", campaign.shed.into()),
-        ("violations", (campaign.violations.len() as u64).into()),
-    ]);
-    let figure = Json::obj(vec![
-        ("figure", "latency_load".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
+    // BENCH_6.json: Tinca's knee must not move down the load axis and
+    // its sub-knee tail must not inflate; Classic's twins are context.
+    Ledger {
+        bench: "latency_load",
+        quick,
+        gate: vec![
+            ("tinca_knee_ops_per_sec", Higher, tinca_knee),
+            ("tinca_p99_ns_subknee", Lower, tinca_p99_subknee),
+            ("classic_knee_ops_per_sec", Info, classic_knee),
+            ("classic_p99_ns_subknee", Info, classic_p99_subknee),
+        ],
+        campaigns: vec![("crash_mid_backlog", &campaign)],
+        persistcheck_clean: Some(persist_clean),
+        context: vec![
+            ("shards", (SHARDS as u64).into()),
+            ("knee_delivery", KNEE_DELIVERY.into()),
+            ("probed_capacity_tinca", cap_tinca.into()),
+            ("probed_capacity_classic", cap_classic.into()),
+            ("tinca_tail_ratio", tinca_tail_ratio.into()),
+            (
+                "figure",
+                figure_json("latency_load", &t.headers(), t.rows()),
             ),
-        ),
-    ]);
-    let bench = Json::obj(vec![
-        ("bench", "latency_load".into()),
-        ("quick", quick.into()),
-        ("shards", (SHARDS as u64).into()),
-        ("knee_delivery", KNEE_DELIVERY.into()),
-        ("probed_capacity_tinca", cap_tinca.into()),
-        ("probed_capacity_classic", cap_classic.into()),
-        ("tinca_tail_ratio", tinca_tail_ratio.into()),
-        ("persistcheck_clean", persist_clean.into()),
-        ("gate", gate),
-        ("crash_campaign", campaign_json),
-        ("latency_load", figure),
-    ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_6.json");
-    fs::write(&path, bench.render()).expect("write BENCH_6.json");
-    eprintln!("  [bench] {}", path.display());
+        ],
+    }
+    .write(6);
 
     LatencyLoadResult {
         table: t,

@@ -21,18 +21,17 @@
 //! publication) and a bounded-exhaustive frontier enumeration over
 //! concurrent publication orders — both must be violation-free.
 
-use std::fs;
-
 use blockdev::{DiskKind, SimDisk};
 use crashsim::FrontierReport;
 use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimClock};
 use persistcheck::{CheckConfig, Checker};
-use telemetry::Json;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 use workloads::mtfio::{MtFio, MtFioSpec, MtReport};
 
+use crate::ledger::Better::{Higher, Info, Lower};
+use crate::ledger::Ledger;
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, figure_json, fmt, write_csv};
 
 /// One measured (shards, writers) point.
 pub struct MwPoint {
@@ -214,54 +213,21 @@ pub fn run(quick: bool) -> MwScalingResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_9.json — machine-readable summary for perfgate: the 8-writer
-    // speedup must not shrink and the uncontended ring cost must not
-    // drift.
-    let gate = Json::obj(vec![
-        ("mw_speedup_x_8w", speedup_x_8w.into()),
-        ("mw_ns_per_txn_1w", mw_ns_per_txn_1w.into()),
-        ("mw_ns_per_txn_8w", mw_ns_per_txn_8w.into()),
-    ]);
-    let fuzz_json = Json::obj(vec![
-        ("runs", fuzz.runs.into()),
-        ("crashes", fuzz.crashes.into()),
-        ("violations", (fuzz.violations.len() as u64).into()),
-    ]);
-    let frontier_json = Json::obj(vec![
-        ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.states_run.into()),
-        ("violations", (frontier.violations.len() as u64).into()),
-    ]);
-    let figure = Json::obj(vec![
-        ("figure", "mw_scaling".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
-    let bench = Json::obj(vec![
-        ("bench", "mw_scaling".into()),
-        ("quick", quick.into()),
-        ("persistcheck_clean", persist_clean.into()),
-        ("gate", gate),
-        ("fuzz_campaign", fuzz_json),
-        ("frontier_campaign", frontier_json),
-        ("mw_scaling", figure),
-    ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_9.json");
-    fs::write(&path, bench.render()).expect("write BENCH_9.json");
-    eprintln!("  [bench] {}", path.display());
+    // BENCH_9.json: the 8-writer speedup must not shrink and the
+    // uncontended ring cost must not drift.
+    Ledger {
+        bench: "mw_scaling",
+        quick,
+        gate: vec![
+            ("mw_speedup_x_8w", Higher, speedup_x_8w),
+            ("mw_ns_per_txn_1w", Lower, mw_ns_per_txn_1w),
+            ("mw_ns_per_txn_8w", Info, mw_ns_per_txn_8w),
+        ],
+        campaigns: vec![("fuzz", &fuzz), ("frontier", &frontier)],
+        persistcheck_clean: Some(persist_clean),
+        context: vec![("figure", figure_json("mw_scaling", &t.headers(), t.rows()))],
+    }
+    .write(9);
 
     MwScalingResult {
         table: t,

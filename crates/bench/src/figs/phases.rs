@@ -7,10 +7,9 @@
 //! * `EXPERIMENTS-results/phases.csv` / `.json` — top-level phase totals;
 //! * `EXPERIMENTS-results/phases.jsonl` — the full JSONL event stream;
 //! * `EXPERIMENTS-results/phases.trace.json` — chrome://tracing file;
-//! * `BENCH_5.json` (repo root) — machine-readable summary: attribution
-//!   fraction, phase tree, histograms, the unified [`StatsSnapshot`],
-//!   and a flat `gate` object of per-op efficiency counters that the
-//!   `perfgate` bin diffs against the committed baseline in CI.
+//! * `BENCH_5.json` (repo root) — the [`crate::ledger`] summary: gated
+//!   per-op efficiency counters, with the attribution fraction, phase
+//!   tree, histograms and the unified [`StatsSnapshot`] as context.
 //!
 //! The run asserts that ≥ 95 % of simulated commit-path time is
 //! attributed to named child phases (`commit` self time ≤ 5 %) — the
@@ -25,6 +24,8 @@ use rand::{Rng, SeedableRng};
 use telemetry::Json;
 use tinca::{StatsSnapshot, TincaCache, TincaConfig};
 
+use crate::ledger::Better::{Info, Lower};
+use crate::ledger::Ledger;
 use crate::table::Table;
 use crate::{banner, fmt, results_dir, write_csv};
 
@@ -152,38 +153,38 @@ pub fn run(quick: bool) -> f64 {
     eprintln!("  [jsonl] {}", dir.join("phases.jsonl").display());
     eprintln!("  [trace] {}", dir.join("phases.trace.json").display());
 
-    // BENCH_5.json: the machine-readable bench result at the repo root.
-    // The flat `gate` counters are what `perfgate` diffs in CI — keep
-    // their names stable (string-extraction parsing, no serde).
+    // BENCH_5.json: per-op efficiency counters for perfgate, with the
+    // attribution, smells, stats and phase tree as context.
     let commit_ns = report.find("commit").map_or(0, |p| p.total_ns);
-    let gate = Json::obj(vec![
-        (
-            "clflush_per_op",
-            (snapshot.nvm.clflush as f64 / ops as f64).into(),
-        ),
-        ("disk_busy_ns", snapshot.disk.busy_ns.into()),
-        ("commit_total_ns", commit_ns.into()),
-        ("sim_ns", snapshot.sim_ns.into()),
-    ]);
     let smell_totals = Json::obj(vec![
         ("clean_line_clflush", clean_flushes.into()),
         ("empty_sfence", empty_fences.into()),
     ]);
-    let bench = Json::obj(vec![
-        ("bench", "phases".into()),
-        ("quick", quick.into()),
-        ("ops", ops.into()),
-        ("attributed_fraction_commit", frac.into()),
-        ("min_attributed", MIN_ATTRIBUTED.into()),
-        ("flush_smells", smell_totals),
-        ("gate", gate),
-        ("stats", snapshot.to_json()),
-        ("telemetry", report.to_json()),
-    ]);
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_5.json");
-    fs::write(&path, bench.render()).expect("write BENCH_5.json");
-    eprintln!("  [bench] {}", path.display());
+    Ledger {
+        bench: "phases",
+        quick,
+        gate: vec![
+            (
+                "clflush_per_op",
+                Lower,
+                snapshot.nvm.clflush as f64 / ops as f64,
+            ),
+            ("disk_busy_ns", Lower, snapshot.disk.busy_ns as f64),
+            ("commit_total_ns", Info, commit_ns as f64),
+            ("sim_ns", Info, snapshot.sim_ns as f64),
+        ],
+        campaigns: vec![],
+        persistcheck_clean: None,
+        context: vec![
+            ("ops", ops.into()),
+            ("attributed_fraction_commit", frac.into()),
+            ("min_attributed", MIN_ATTRIBUTED.into()),
+            ("flush_smells", smell_totals),
+            ("stats", snapshot.to_json()),
+            ("telemetry", report.to_json()),
+        ],
+    }
+    .write(5);
 
     frac
 }

@@ -16,10 +16,7 @@
 //! report zero torn transactions.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
-//! `BENCH_7.json` at the repo root with a flat `gate` object for
-//! `perfgate`.
-
-use std::fs;
+//! the [`crate::ledger`] summary `BENCH_7.json` at the repo root.
 
 use blockdev::{DiskKind, SimDisk, BLOCK_SIZE};
 use crashsim::{FrontierReport, PoolFuzzReport};
@@ -27,11 +24,12 @@ use nvmsim::{merge_shard_traces, shard_devices, Nvm, NvmConfig, NvmTech, SimCloc
 use persistcheck::{CheckConfig, Checker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use telemetry::Json;
 use tinca::{PoolConfig, TincaConfig, TincaPool};
 
+use crate::ledger::Better::{Info, Lower};
+use crate::ledger::Ledger;
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, figure_json, fmt, write_csv};
 
 const SHARDS: usize = 4;
 /// Spanning percentages swept by the figure.
@@ -226,55 +224,24 @@ pub fn run(quick: bool) -> SpanningResult {
         eprintln!("  violation: {v}");
     }
 
-    // BENCH_7.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI: the 0% point is
-    // the single-shard fast path and must not drift.
-    let gate = Json::obj(vec![
-        ("single_shard_ns_per_txn", single_shard_ns_per_txn.into()),
-        ("spanning50_ns_per_txn", spanning50_ns_per_txn.into()),
-        ("spanning_overhead_x", overhead_x.into()),
-    ]);
-    let frontier_json = Json::obj(vec![
-        ("epochs", frontier.epochs_total.into()),
-        ("states", frontier.states_run.into()),
-        ("violations", (frontier.violations.len() as u64).into()),
-    ]);
-    let fuzz_json = Json::obj(vec![
-        ("runs", fuzz.runs.into()),
-        ("crashes", fuzz.crashes.into()),
-        ("violations", (fuzz.violations.len() as u64).into()),
-    ]);
-    let figure = Json::obj(vec![
-        ("figure", "spanning".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
-    let bench = Json::obj(vec![
-        ("bench", "spanning".into()),
-        ("quick", quick.into()),
-        ("shards", (SHARDS as u64).into()),
-        ("persistcheck_clean", persist_clean.into()),
-        ("gate", gate),
-        ("frontier_campaign", frontier_json),
-        ("fuzz_campaign", fuzz_json),
-        ("spanning", figure),
-    ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_7.json");
-    fs::write(&path, bench.render()).expect("write BENCH_7.json");
-    eprintln!("  [bench] {}", path.display());
+    // BENCH_7.json: the 0% point is the single-shard fast path and must
+    // not drift; the overhead ratio is context.
+    Ledger {
+        bench: "spanning",
+        quick,
+        gate: vec![
+            ("single_shard_ns_per_txn", Lower, single_shard_ns_per_txn),
+            ("spanning50_ns_per_txn", Lower, spanning50_ns_per_txn),
+            ("spanning_overhead_x", Info, overhead_x),
+        ],
+        campaigns: vec![("frontier", &frontier), ("fuzz", &fuzz)],
+        persistcheck_clean: Some(persist_clean),
+        context: vec![
+            ("shards", (SHARDS as u64).into()),
+            ("figure", figure_json("spanning", &t.headers(), t.rows())),
+        ],
+    }
+    .write(7);
 
     SpanningResult {
         table: t,

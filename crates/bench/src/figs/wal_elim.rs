@@ -22,10 +22,7 @@
 //! consistency — is checked in one run.
 //!
 //! Output: the standard CSV/JSON pair under `EXPERIMENTS-results/`, plus
-//! `BENCH_8.json` at the repo root with a flat `gate` object for
-//! `perfgate`.
-
-use std::fs;
+//! the [`crate::ledger`] summary `BENCH_8.json` at the repo root.
 
 use crashsim::{CampaignReport, FailureMode, FrontierReport};
 use fssim::stack::{StackConfig, System};
@@ -34,10 +31,11 @@ use kvdb::{
     wal_kv_fuzz_campaign, Db, KvTpccDriver, PageStore, TincaStore, TincaStoreConfig, WalConfig,
     WalStore,
 };
-use telemetry::Json;
 
+use crate::ledger::Better::{Info, Lower};
+use crate::ledger::Ledger;
 use crate::table::Table;
-use crate::{banner, fmt, results_dir, write_csv};
+use crate::{banner, figure_json, fmt, write_csv};
 
 /// TPC-C warehouses the figure's key stream draws from.
 const WAREHOUSES: u32 = 4;
@@ -152,22 +150,6 @@ fn run_tinca(txns: u64) -> ModePoint {
     run_mode("tinca (no WAL)", &mut db, &now, &clock, txns)
 }
 
-fn campaign_json(r: &CampaignReport) -> Json {
-    Json::obj(vec![
-        ("runs", r.runs.into()),
-        ("crashes", r.crashes.into()),
-        ("violations", (r.violations.len() as u64).into()),
-    ])
-}
-
-fn frontier_json(r: &FrontierReport) -> Json {
-    Json::obj(vec![
-        ("epochs", r.epochs_total.into()),
-        ("states", r.states_run.into()),
-        ("violations", (r.violations.len() as u64).into()),
-    ])
-}
-
 /// Runs the figure: both personalities over the identical transaction
 /// stream, the embedded crash smoke for each, and writes CSV +
 /// `BENCH_8.json`.
@@ -275,57 +257,39 @@ pub fn run(quick: bool) -> WalElimResult {
         }
     }
 
-    // BENCH_8.json — machine-readable summary at the repo root. The flat
-    // `gate` counters are what `perfgate` diffs in CI: the no-WAL
-    // personality's cost and write volume must not drift; the WAL twins
-    // are context.
-    let gate = Json::obj(vec![
-        ("tinca_ns_per_txn", tinca.ns_per_txn.into()),
-        ("tinca_bytes_per_txn", tinca.bytes_per_txn.into()),
-        ("wal_ns_per_txn", wal.ns_per_txn.into()),
-        ("wal_bytes_per_txn", wal.bytes_per_txn.into()),
-        ("speedup_x", speedup_x.into()),
-        ("bytes_ratio_x", bytes_ratio_x.into()),
-    ]);
-    let figure = Json::obj(vec![
-        ("figure", "wal_elim".into()),
-        (
-            "headers",
-            Json::Arr(t.headers().iter().map(|h| (*h).into()).collect()),
+    // BENCH_8.json: the no-WAL personality's cost and write volume must
+    // not drift; the WAL twins and the ratios are context.
+    Ledger {
+        bench: "wal_elim",
+        quick,
+        gate: vec![
+            ("tinca_ns_per_txn", Lower, tinca.ns_per_txn),
+            ("tinca_bytes_per_txn", Lower, tinca.bytes_per_txn),
+            ("wal_ns_per_txn", Info, wal.ns_per_txn),
+            ("wal_bytes_per_txn", Info, wal.bytes_per_txn),
+            ("speedup_x", Info, speedup_x),
+            ("bytes_ratio_x", Info, bytes_ratio_x),
+        ],
+        campaigns: vec![
+            ("wal_fuzz", &wal_fuzz),
+            ("tinca_fuzz", &tinca_fuzz),
+            ("wal_frontier", &wal_frontier),
+            ("tinca_frontier", &tinca_frontier),
+        ],
+        // persistcheck runs inside every campaign's recovery.
+        persistcheck_clean: Some(
+            wal_fuzz.clean()
+                && tinca_fuzz.clean()
+                && wal_frontier.clean()
+                && tinca_frontier.clean(),
         ),
-        (
-            "rows",
-            Json::Arr(
-                t.rows()
-                    .iter()
-                    .map(|r| Json::Arr(r.iter().map(|c| c.as_str().into()).collect()))
-                    .collect(),
-            ),
-        ),
-    ]);
-    let crashes = Json::obj(vec![
-        ("wal_fuzz", campaign_json(&wal_fuzz)),
-        ("tinca_fuzz", campaign_json(&tinca_fuzz)),
-        ("wal_frontier", frontier_json(&wal_frontier)),
-        ("tinca_frontier", frontier_json(&tinca_frontier)),
-    ]);
-    let persist_clean =
-        wal_fuzz.clean() && tinca_fuzz.clean() && wal_frontier.clean() && tinca_frontier.clean();
-    let bench = Json::obj(vec![
-        ("bench", "wal_elim".into()),
-        ("quick", quick.into()),
-        ("txns", txns.into()),
-        ("warehouses", u64::from(WAREHOUSES).into()),
-        ("persistcheck_clean", persist_clean.into()),
-        ("gate", gate),
-        ("crash_campaigns", crashes),
-        ("wal_elim", figure),
-    ]);
-    let dir = results_dir();
-    let root = dir.parent().expect("results dir sits in the repo root");
-    let path = root.join("BENCH_8.json");
-    fs::write(&path, bench.render()).expect("write BENCH_8.json");
-    eprintln!("  [bench] {}", path.display());
+        context: vec![
+            ("txns", txns.into()),
+            ("warehouses", u64::from(WAREHOUSES).into()),
+            ("figure", figure_json("wal_elim", &t.headers(), t.rows())),
+        ],
+    }
+    .write(8);
 
     WalElimResult {
         table: t,

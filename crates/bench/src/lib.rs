@@ -9,8 +9,13 @@
 //! `quick = true` shrinks datasets/op counts for CI-speed smoke runs; the
 //! default sizes are the ÷128-scaled configuration documented in
 //! `DESIGN.md` (shape reproduction, not absolute numbers).
+//!
+//! The gated figures also write a repo-root `BENCH_<n>.json` summary in
+//! the one [`ledger`] schema, which `perfgate` compares against the
+//! committed copy; [`ledger`] documents how to add a gated bench.
 
 pub mod figs;
+pub mod ledger;
 pub mod table;
 
 use std::fs;
@@ -39,12 +44,19 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
     write_json(name, headers, rows);
 }
 
-/// Writes the JSON companion of one result set: an object carrying the
-/// figure name, column headers, and rows (cells as strings, exactly as
-/// the CSV renders them), so downstream tooling never re-parses CSV.
+/// Writes the JSON companion of one result set (see [`figure_json`]).
 pub fn write_json(name: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let path = results_dir().join(format!("{name}.json"));
+    fs::write(&path, figure_json(name, headers, rows).render()).expect("write json");
+    eprintln!("  [json] {}", path.display());
+}
+
+/// One result set as JSON: an object carrying the figure name, column
+/// headers, and rows (cells as strings, exactly as the CSV renders them),
+/// so downstream tooling never re-parses CSV.
+pub fn figure_json(name: &str, headers: &[&str], rows: &[Vec<String>]) -> telemetry::Json {
     use telemetry::Json;
-    let json = Json::obj(vec![
+    Json::obj(vec![
         ("figure", name.into()),
         (
             "headers",
@@ -58,10 +70,7 @@ pub fn write_json(name: &str, headers: &[&str], rows: &[Vec<String>]) {
                     .collect(),
             ),
         ),
-    ]);
-    let path = results_dir().join(format!("{name}.json"));
-    fs::write(&path, json.render()).expect("write json");
-    eprintln!("  [json] {}", path.display());
+    ])
 }
 
 /// Prints the standard experiment banner.

@@ -32,6 +32,7 @@ mod device;
 mod error;
 mod fault;
 mod latency;
+mod lru;
 mod sim;
 mod stats;
 
@@ -39,5 +40,6 @@ pub use device::{BatchReport, BlockDevice, IoLane, BLOCK_SIZE};
 pub use error::IoError;
 pub use fault::{FaultPlan, FaultStats, FaultyDisk};
 pub use latency::{DiskKind, LatencyModel};
+pub use lru::{LruIter, LruList};
 pub use sim::{Disk, SimDisk};
 pub use stats::DiskStats;

@@ -3,14 +3,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, BLOCK_SIZE};
+use blockdev::{BlockDevice, LruList, BLOCK_SIZE};
 use nvmsim::Nvm;
 
 use crate::meta::{
     decode_log_record, encode_log_record, ClassicLayout, SlotRecord, ASSOC_OFF, LOG_SLOTS, MAGIC,
     MAGIC_OFF, NUM_BLOCKS_OFF, RECORDS_PER_META_BLOCK, RECORD_BYTES,
 };
-use crate::setlru::SetLru;
 use crate::{ClassicConfig, ClassicError, ClassicStats, MetadataScheme};
 
 /// Header offset of the metadata-log generation counter.
@@ -39,7 +38,7 @@ pub struct ClassicCache {
     /// DRAM mirror of every slot's record (authoritative copy of the
     /// metadata area; what a metadata-block write serialises).
     records: Vec<SlotRecord>,
-    lru: SetLru,
+    lru: LruList,
     /// Dirty blocks per set (drives the `dirty_thresh_pct` cleaner).
     set_dirty: Vec<u32>,
     /// Monotone cache block-write counter (the fallow-cleaning clock).
@@ -138,7 +137,7 @@ impl ClassicCache {
             cfg,
             index: HashMap::new(),
             records: vec![SlotRecord::INVALID; layout.num_blocks as usize],
-            lru: SetLru::new(layout.num_blocks, layout.num_sets, layout.assoc),
+            lru: LruList::new(layout.num_blocks, layout.num_sets),
             set_dirty: vec![0; layout.num_sets as usize],
             write_seq: 0,
             log_cursor: 0,
@@ -195,14 +194,11 @@ impl ClassicCache {
             return Ok(());
         }
         // Collect dirty slots in LRU→MRU order.
-        let mut order: Vec<u32> = Vec::new();
-        let mut cur = self.lru.lru_of_set(set);
-        while let Some(slot) = cur {
-            if self.records[slot as usize].dirty {
-                order.push(slot);
-            }
-            cur = self.lru.next_towards_mru(slot);
-        }
+        let order: Vec<u32> = self
+            .lru
+            .iter_lru(set)
+            .filter(|&slot| self.records[slot as usize].dirty)
+            .collect();
         let mut buf = [0u8; BLOCK_SIZE];
         for slot in order {
             if self.set_dirty[set as usize] <= allowed {
@@ -267,10 +263,7 @@ impl ClassicCache {
                 return Ok(slot);
             }
         }
-        let victim = self
-            .lru
-            .lru_of_set(set)
-            .expect("full set must have linked slots");
+        let victim = self.lru.lru(set).expect("full set must have linked slots");
         self.evict(victim)?;
         Ok(victim)
     }
@@ -401,20 +394,16 @@ impl ClassicCache {
         // Threshold pass: each set's LRU-most dirty slots beyond its pool.
         for set in 0..self.layout.num_sets {
             let excess = self.set_dirty[set as usize].saturating_sub(allowed);
-            if excess == 0 {
-                continue;
-            }
-            let mut remaining = excess;
-            let mut cur = self.lru.lru_of_set(set);
-            while let (Some(slot), true) = (cur, remaining > 0) {
-                if self.records[slot as usize].dirty
-                    && self.last_write[slot as usize] > fallow_before
-                {
-                    to_clean.push((self.records[slot as usize].disk_blk, slot));
-                    remaining -= 1;
-                }
-                cur = self.lru.next_towards_mru(slot);
-            }
+            to_clean.extend(
+                self.lru
+                    .iter_lru(set)
+                    .filter(|&slot| {
+                        self.records[slot as usize].dirty
+                            && self.last_write[slot as usize] > fallow_before
+                    })
+                    .take(excess as usize)
+                    .map(|slot| (self.records[slot as usize].disk_blk, slot)),
+            );
         }
         if to_clean.is_empty() {
             return Ok(());

@@ -1,138 +1,42 @@
-//! Per-set LRU lists over cache slots, sharing one pair of link arrays.
-
-const NIL: u32 = u32::MAX;
-
-/// LRU ordering for every set of a set-associative cache. Slot indices are
-/// global; each set has its own head (MRU) and tail (LRU).
-#[derive(Clone, Debug)]
-pub struct SetLru {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    linked: Vec<bool>,
-    head: Vec<u32>, // per set
-    tail: Vec<u32>,
-    assoc: u32,
-}
-
-impl SetLru {
-    pub fn new(num_slots: u32, num_sets: u32, assoc: u32) -> Self {
-        assert_eq!(num_slots, num_sets * assoc);
-        Self {
-            prev: vec![NIL; num_slots as usize],
-            next: vec![NIL; num_slots as usize],
-            linked: vec![false; num_slots as usize],
-            head: vec![NIL; num_sets as usize],
-            tail: vec![NIL; num_sets as usize],
-            assoc,
-        }
-    }
-
-    fn set_of(&self, slot: u32) -> usize {
-        (slot / self.assoc) as usize
-    }
-
-    pub fn contains(&self, slot: u32) -> bool {
-        self.linked[slot as usize]
-    }
-
-    pub fn push_mru(&mut self, slot: u32) {
-        assert!(!self.linked[slot as usize], "slot {slot} already linked");
-        let set = self.set_of(slot);
-        let s = slot as usize;
-        self.prev[s] = NIL;
-        self.next[s] = self.head[set];
-        if self.head[set] != NIL {
-            self.prev[self.head[set] as usize] = slot;
-        } else {
-            self.tail[set] = slot;
-        }
-        self.head[set] = slot;
-        self.linked[s] = true;
-    }
-
-    pub fn remove(&mut self, slot: u32) {
-        assert!(self.linked[slot as usize], "slot {slot} not linked");
-        let set = self.set_of(slot);
-        let s = slot as usize;
-        let (p, n) = (self.prev[s], self.next[s]);
-        if p != NIL {
-            self.next[p as usize] = n;
-        } else {
-            self.head[set] = n;
-        }
-        if n != NIL {
-            self.prev[n as usize] = p;
-        } else {
-            self.tail[set] = p;
-        }
-        self.prev[s] = NIL;
-        self.next[s] = NIL;
-        self.linked[s] = false;
-    }
-
-    pub fn touch(&mut self, slot: u32) {
-        let set = self.set_of(slot);
-        if self.head[set] == slot {
-            return;
-        }
-        self.remove(slot);
-        self.push_mru(slot);
-    }
-
-    /// LRU slot of `set`, if the set has any linked slot.
-    pub fn lru_of_set(&self, set: u32) -> Option<u32> {
-        let t = self.tail[set as usize];
-        (t != NIL).then_some(t)
-    }
-
-    /// The next slot towards the MRU end (for LRU→MRU walks).
-    pub fn next_towards_mru(&self, slot: u32) -> Option<u32> {
-        let p = self.prev[slot as usize];
-        (p != NIL).then_some(p)
-    }
-}
+//! Classic's per-set LRU ordering, as it uses the shared
+//! [`blockdev::LruList`]: slots `set * assoc .. (set + 1) * assoc` form one
+//! set, and each set ages on its own (Flashcache's LRU within a set).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use blockdev::LruList;
 
-    #[test]
-    fn per_set_isolation() {
-        let mut l = SetLru::new(8, 2, 4);
-        l.push_mru(0); // set 0
-        l.push_mru(5); // set 1
-        l.push_mru(1); // set 0
-        assert_eq!(l.lru_of_set(0), Some(0));
-        assert_eq!(l.lru_of_set(1), Some(5));
-        l.touch(0);
-        assert_eq!(l.lru_of_set(0), Some(1));
-        assert_eq!(l.lru_of_set(1), Some(5), "other set untouched");
+    /// The list the cache builds for `num_sets` sets of `assoc` slots.
+    fn set_lru(num_sets: u32, assoc: u32) -> LruList {
+        LruList::new(num_sets * assoc, num_sets)
     }
 
     #[test]
     fn remove_updates_tail() {
-        let mut l = SetLru::new(4, 1, 4);
-        l.push_mru(0);
-        l.push_mru(1);
-        l.remove(0);
-        assert_eq!(l.lru_of_set(0), Some(1));
-        l.remove(1);
-        assert_eq!(l.lru_of_set(0), None);
+        let mut l = set_lru(2, 4);
+        l.push_mru(4); // set 1
+        l.push_mru(5);
+        l.remove(4);
+        assert_eq!(l.lru(1), Some(5));
+        l.remove(5);
+        assert_eq!(l.lru(1), None);
+        assert_eq!(l.lru(0), None, "set 0 was never linked");
     }
 
     #[test]
     fn touch_mru_noop() {
-        let mut l = SetLru::new(4, 1, 4);
-        l.push_mru(2);
-        l.push_mru(3);
-        l.touch(3);
-        assert_eq!(l.lru_of_set(0), Some(2));
+        let mut l = set_lru(2, 4);
+        l.push_mru(6); // set 1
+        l.push_mru(7);
+        l.touch(7);
+        assert_eq!(l.lru(1), Some(6));
+        assert_eq!(l.iter_lru(1).collect::<Vec<_>>(), vec![6, 7]);
     }
 
     #[test]
-    #[should_panic(expected = "already linked")]
+    #[should_panic(expected = "already in LRU")]
     fn double_push_panics() {
-        let mut l = SetLru::new(4, 1, 4);
+        let mut l = set_lru(2, 4);
         l.push_mru(0);
         l.push_mru(0);
     }

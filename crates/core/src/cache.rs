@@ -3,7 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, IoError, IoLane, BLOCK_SIZE};
+use blockdev::{BlockDevice, IoError, IoLane, LruList, BLOCK_SIZE};
 use nvmsim::Nvm;
 
 use crate::entry::{CacheEntry, Role, FRESH};
@@ -12,7 +12,6 @@ use crate::layout::{
     mw_desc_addr, mw_state_word, slot_value, Layout, DATA_BLOCKS_OFF, ENTRY_COUNT_OFF, HEAD_OFF,
     MAGIC, MAGIC_OFF, MW_DEAD_TAG, MW_FLAG_SPANNING, MW_FREE, MW_RESERVED, RING_CAP_OFF, TAIL_OFF,
 };
-use crate::lru::LruList;
 use crate::{CacheStats, TincaConfig, TincaError, Txn, WritePolicy};
 
 /// Shared handle to the backing disk below the cache.
@@ -199,7 +198,7 @@ impl TincaCache {
             head,
             tail,
             index: HashMap::new(),
-            lru: LruList::new(layout.entry_count),
+            lru: LruList::new(layout.entry_count, 1),
             free_blocks: FreeMonitor::new_all_free(layout.data_blocks),
             free_entries: FreeMonitor::new_all_free(layout.entry_count),
             pin_blocks: vec![false; layout.data_blocks as usize],
@@ -1319,7 +1318,7 @@ impl TincaCache {
     /// never victims. `clean_only` restricts the search to unmodified
     /// blocks (evictable without disk I/O).
     fn find_victim(&self, clean_only: bool) -> Option<u32> {
-        self.lru.iter_lru().find(|&idx| {
+        self.lru.iter_lru(0).find(|&idx| {
             if self.pin_entries[idx as usize] || self.quarantined.contains(&idx) {
                 return false;
             }
@@ -1581,7 +1580,7 @@ impl TincaCache {
         // scan uses persistent entry reads so the daemon's bookkeeping
         // does not bill NVM latency to the foreground clock.
         let mut victims: Vec<(u32, CacheEntry)> = Vec::with_capacity(need);
-        for idx in self.lru.iter_lru() {
+        for idx in self.lru.iter_lru(0) {
             if victims.len() >= need {
                 break;
             }

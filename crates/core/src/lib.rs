@@ -47,7 +47,6 @@ mod entry;
 mod error;
 mod freemon;
 mod layout;
-mod lru;
 mod mwring;
 mod pool;
 mod recovery;

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, BLOCK_SIZE};
+use blockdev::{BlockDevice, LruList, BLOCK_SIZE};
 use nvmsim::Nvm;
 
 use crate::entry::{UbjEntry, UbjState, FRESH};
@@ -76,9 +76,9 @@ pub struct UbjCache {
     layout: Layout,
     cfg: UbjConfig,
     index: HashMap<u64, u32>,
-    /// Clean entries in LRU order (front = LRU); only clean blocks are
-    /// evictable without a checkpoint.
-    clean_lru: VecDeque<u32>,
+    /// Clean entries in LRU order; only clean blocks are evictable
+    /// without a checkpoint.
+    clean_lru: LruList,
     free_blocks: Vec<u32>,
     block_free: Vec<bool>,
     free_entries: Vec<u32>,
@@ -116,7 +116,7 @@ impl UbjCache {
             disk,
             cfg,
             index: HashMap::new(),
-            clean_lru: VecDeque::new(),
+            clean_lru: LruList::new(layout.entry_count, 1),
             free_blocks: (0..layout.data_blocks).rev().collect(),
             block_free: vec![true; layout.data_blocks as usize],
             free_entries: (0..layout.entry_count).rev().collect(),
@@ -183,7 +183,7 @@ impl UbjCache {
             used[e.cur as usize] = true;
             c.index.insert(e.disk_blk, idx);
             match e.state {
-                UbjState::Clean => c.clean_lru.push_back(idx),
+                UbjState::Clean => c.clean_lru.push_mru(idx),
                 UbjState::Frozen => frozen_refs.push(FrozenRef { idx, blk: e.cur }),
                 _ => unreachable!("resolved above"),
             }
@@ -352,7 +352,7 @@ impl UbjCache {
             self.nvm.persist(addr, BLOCK_SIZE);
             self.write_entry(idx, UbjEntry::new(UbjState::Clean, disk_blk, FRESH, blk));
             self.index.insert(disk_blk, idx);
-            self.clean_lru.push_back(idx);
+            self.clean_lru.push_mru(idx);
         }
     }
 
@@ -367,7 +367,8 @@ impl UbjCache {
                 return Ok(b);
             }
             // Evict a clean block if any.
-            if let Some(idx) = self.clean_lru.pop_front() {
+            if let Some(idx) = self.clean_lru.lru(0) {
+                self.clean_lru.remove(idx);
                 let e = self.read_entry(idx);
                 debug_assert_eq!(e.state, UbjState::Clean);
                 self.write_entry(idx, UbjEntry::INVALID);
@@ -410,7 +411,7 @@ impl UbjCache {
                 r.idx,
                 UbjEntry::new(UbjState::Clean, e.disk_blk, FRESH, e.cur),
             );
-            self.clean_lru.push_back(r.idx);
+            self.clean_lru.push_mru(r.idx);
         }
         self.stats.checkpoints += 1;
         self.stats.checkpoint_stall_ns += self.nvm.clock().now_ns() - t0;
@@ -464,14 +465,14 @@ impl UbjCache {
     }
 
     fn unlink_clean(&mut self, idx: u32) {
-        if let Some(pos) = self.clean_lru.iter().position(|&i| i == idx) {
-            self.clean_lru.remove(pos);
+        if self.clean_lru.contains(idx) {
+            self.clean_lru.remove(idx);
         }
     }
 
     fn touch_clean(&mut self, idx: u32) {
         self.unlink_clean(idx);
-        self.clean_lru.push_back(idx);
+        self.clean_lru.push_mru(idx);
     }
 
     /// Reads without populating the cache (verification).
