@@ -2,18 +2,20 @@
 //! by name hash to replica groups; the client mirrors writes to every
 //! replica of the group (AFR-style client-side replication).
 
+use std::ops::Range;
+
 use blockdev::BLOCK_SIZE;
 use fssim::stack::StackConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClusterReport, NetModel, NodeCmd, NodeHandle};
+use crate::{ClusterReport, NetModel, Node};
 use workloads::rand_util::Zipf;
 
 /// A GlusterFS-like cluster: N nodes in groups of `replicas`; file
 /// placement by name hash (Gluster's elastic hash), client-side mirroring.
 pub struct GlusterCluster {
-    nodes: Vec<NodeHandle>,
+    nodes: Vec<Node>,
     replicas: usize,
     groups: usize,
 }
@@ -30,7 +32,7 @@ impl GlusterCluster {
         );
         let net = NetModel::ten_gbe();
         let nodes = (0..n_nodes)
-            .map(|i| NodeHandle::spawn(i, cfg.clone(), net, Self::OP_OVERHEAD_NS))
+            .map(|i| Node::new(i, cfg, net, Self::OP_OVERHEAD_NS))
             .collect();
         GlusterCluster {
             nodes,
@@ -40,79 +42,60 @@ impl GlusterCluster {
     }
 
     /// The replica group (node indices) a file hashes to.
-    fn group_of(&self, name: &str) -> Vec<usize> {
+    fn group_of(&self, name: &str) -> Range<usize> {
         let mut h: u64 = 0xcbf29ce484222325;
         for b in name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
         let g = (h % self.groups as u64) as usize;
-        (0..self.replicas).map(|k| g * self.replicas + k).collect()
+        g * self.replicas..(g + 1) * self.replicas
     }
 
-    fn create(&self, name: &str) {
+    fn create(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Create {
-                name: name.to_string(),
-            });
+            self.nodes[ni].create(name);
         }
     }
 
-    fn write(&self, name: &str, offset: u64, data: Vec<u8>) {
+    fn write(&mut self, name: &str, offset: u64, data: &[u8]) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Write {
-                name: name.to_string(),
-                offset,
-                data: data.clone(),
-                net_bytes: data.len() as u64,
-            });
+            self.nodes[ni].write(name, offset, data);
         }
     }
 
-    fn read(&self, name: &str, offset: u64, len: usize) {
-        // Reads go to the group primary only.
-        let primary = self.group_of(name)[0];
-        self.nodes[primary].send(NodeCmd::Read {
-            name: name.to_string(),
-            offset,
-            len,
-            reply: None,
-        });
+    /// Reads go to the group primary only.
+    fn read(&mut self, name: &str, offset: u64, len: usize) -> Vec<u8> {
+        let primary = self.group_of(name).start;
+        self.nodes[primary].read(name, offset, len)
     }
 
-    fn delete(&self, name: &str) {
+    fn delete(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Delete {
-                name: name.to_string(),
-            });
+            self.nodes[ni].delete(name);
         }
     }
 
-    fn fsync_group(&self, name: &str) {
+    fn fsync_group(&mut self, name: &str) {
         for ni in self.group_of(name) {
-            self.nodes[ni].send(NodeCmd::Fsync);
+            self.nodes[ni].fsync();
         }
     }
 
     /// Re-baselines every node (end of the setup phase).
-    pub fn mark_all(&self) {
-        for n in &self.nodes {
-            n.send(NodeCmd::Mark);
+    pub fn mark_all(&mut self) {
+        for n in &mut self.nodes {
+            n.mark();
         }
     }
 
-    /// Power-fails node `node` (it reboots through recovery before its
-    /// next queued command).
-    pub fn crash_node(&self, node: usize, seed: u64) {
-        self.nodes[node].send(NodeCmd::Crash { seed });
+    /// Power-fails node `node` now; it reboots through recovery.
+    pub fn crash_node(&mut self, node: usize, seed: u64) {
+        self.nodes[node].crash(seed);
     }
 
     fn finish(self, label: String, client_ops: u64, client_bytes: u64) -> ClusterReport {
-        let nodes = self
-            .nodes
-            .into_iter()
-            .map(super::node::NodeHandle::finish)
-            .collect();
+        let nodes = self.nodes.into_iter().map(Node::finish).collect();
         ClusterReport {
             label,
             nodes,
@@ -137,7 +120,7 @@ pub struct GlusterFilebench {
 
 impl GlusterFilebench {
     /// Runs setup + measured phase and returns the aggregate report.
-    pub fn run(self, cluster: GlusterCluster) -> ClusterReport {
+    pub fn run(self, mut cluster: GlusterCluster) -> ClusterReport {
         use workloads::filebench::Personality;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let zipf = Zipf::new(self.nfiles, 0.9);
@@ -147,18 +130,14 @@ impl GlusterFilebench {
         let fill = vec![0x55u8; self.file_bytes as usize];
         for i in 0..self.nfiles {
             cluster.create(&name(i));
-            cluster.write(&name(i), 0, fill.clone());
+            cluster.write(&name(i), 0, &fill);
         }
         for i in 0..self.nfiles {
             cluster.fsync_group(&name(i));
         }
         cluster.mark_all(); // measurement starts after the pool is loaded
 
-        let (rw_r, rw_w) = match self.personality {
-            Personality::Fileserver => (1u32, 2u32),
-            Personality::Webproxy => (5, 1),
-            Personality::Varmail => (1, 1),
-        };
+        let (rw_r, rw_w) = self.personality.rw_ratio();
         let max_off = self.file_bytes.saturating_sub(self.io_bytes as u64).max(1);
         let wbuf = vec![0x66u8; self.io_bytes];
         let mut bytes = 0u64;
@@ -185,9 +164,9 @@ impl GlusterFilebench {
             if rng.gen_range(0..rw_r + rw_w) < rw_r {
                 cluster.read(&f, off, self.io_bytes);
             } else {
-                cluster.write(&f, off, wbuf.clone());
+                cluster.write(&f, off, &wbuf);
                 bytes += self.io_bytes as u64;
-                if self.personality == Personality::Varmail {
+                if self.personality.fsync_per_write() {
                     cluster.fsync_group(&f);
                 }
             }
@@ -211,17 +190,17 @@ mod tests {
         let g2 = c.group_of("some-file");
         assert_eq!(g1, g2);
         assert_eq!(g1.len(), 2);
-        // Both members in the same group range.
-        assert_eq!(g1[0] / 2, g1[1] / 2);
+        // The group starts on a group boundary.
+        assert_eq!(g1.start % 2, 0);
         let _ = c.finish("t".into(), 0, 0);
     }
 
     #[test]
     fn writes_are_mirrored_to_replicas() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let c = GlusterCluster::new(4, 2, &cfg);
+        let mut c = GlusterCluster::new(4, 2, &cfg);
         c.create("mirrored");
-        c.write("mirrored", 0, vec![9u8; 8192]);
+        c.write("mirrored", 0, &[9u8; 8192]);
         c.fsync_group("mirrored");
         let group = c.group_of("mirrored");
         let report = c.finish("t".into(), 1, 8192);
@@ -234,23 +213,15 @@ mod tests {
     #[test]
     fn replica_crash_preserves_mirrored_data() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let c = GlusterCluster::new(4, 2, &cfg);
+        let mut c = GlusterCluster::new(4, 2, &cfg);
         c.create("mail");
-        c.write("mail", 0, vec![3u8; 12_000]);
+        c.write("mail", 0, &[3u8; 12_000]);
         c.fsync_group("mail");
         // Crash both replicas of the group (worst case), then read back.
-        let group = c.group_of("mail");
-        for &ni in &group {
+        for ni in c.group_of("mail") {
             c.crash_node(ni, 99 + ni as u64);
         }
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        c.nodes[group[0]].send(NodeCmd::Read {
-            name: "mail".into(),
-            offset: 0,
-            len: 12_000,
-            reply: Some(tx),
-        });
-        let data = rx.recv().unwrap();
+        let data = c.read("mail", 0, 12_000);
         assert!(
             data.iter().all(|&b| b == 3),
             "fsynced mirrored data lost in crash"
@@ -274,5 +245,27 @@ mod tests {
         assert_eq!(report.client_ops, 100);
         assert!(report.ops_per_sec() > 0.0);
         assert!(report.total_clflush() > 0);
+    }
+
+    #[test]
+    fn filebench_is_deterministic() {
+        let run = || {
+            let cfg = StackConfig::tiny(System::Tinca);
+            let report = GlusterFilebench {
+                personality: Personality::Varmail,
+                nfiles: 16,
+                file_bytes: 32 << 10,
+                io_bytes: 16 << 10,
+                ops: 100,
+                seed: 5,
+            }
+            .run(GlusterCluster::new(4, 2, &cfg));
+            report
+                .nodes
+                .iter()
+                .map(|n| (n.sim_ns, n.nvm.clflush, n.disk.writes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -5,12 +5,12 @@ use fssim::stack::StackConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClusterReport, NetModel, NodeCmd, NodeHandle};
+use crate::{ClusterReport, NetModel, Node};
 
 /// An HDFS-like cluster: a name node (chunk→pipeline placement) over N
 /// data nodes.
 pub struct HdfsCluster {
-    nodes: Vec<NodeHandle>,
+    nodes: Vec<Node>,
     replicas: usize,
     chunk_bytes: u64,
     rng: StdRng,
@@ -28,12 +28,12 @@ impl HdfsCluster {
     /// two storage stacks widens as replication multiplies storage work.
     pub const CLIENT_NS_PER_MB: u64 = 12_000_000;
 
-    /// Spawns `n_nodes` data nodes, each with a stack built from `cfg`.
+    /// Builds `n_nodes` data nodes, each with a stack built from `cfg`.
     pub fn new(n_nodes: usize, replicas: usize, cfg: &StackConfig, chunk_bytes: u64) -> Self {
         assert!(replicas >= 1 && replicas <= n_nodes, "1 ≤ replicas ≤ nodes");
         let net = NetModel::ten_gbe();
         let nodes = (0..n_nodes)
-            .map(|i| NodeHandle::spawn(i, cfg.clone(), net, Self::OP_OVERHEAD_NS))
+            .map(|i| Node::new(i, cfg, net, Self::OP_OVERHEAD_NS))
             .collect();
         HdfsCluster {
             nodes,
@@ -53,10 +53,9 @@ impl HdfsCluster {
         (0..self.replicas).map(|k| (start + k) % n).collect()
     }
 
-    /// Power-fails data node `node` at this point in the stream (commands
-    /// already queued complete first; the node reboots through recovery).
-    pub fn crash_node(&self, node: usize, seed: u64) {
-        self.nodes[node].send(NodeCmd::Crash { seed });
+    /// Power-fails data node `node` now; it reboots through recovery.
+    pub fn crash_node(&mut self, node: usize, seed: u64) {
+        self.nodes[node].crash(seed);
     }
 
     /// Writes a TeraGen-style dataset of `total_bytes` (100 B rows,
@@ -72,9 +71,7 @@ impl HdfsCluster {
             let pipeline = self.place();
             let chunk_name = format!("chunk-{chunk_idx:06}");
             for &ni in &pipeline {
-                self.nodes[ni].send(NodeCmd::Create {
-                    name: chunk_name.clone(),
-                });
+                self.nodes[ni].create(&chunk_name);
             }
             let mut in_chunk = 0u64;
             while in_chunk < self.chunk_bytes && written < total_bytes {
@@ -83,26 +80,18 @@ impl HdfsCluster {
                     .min(self.chunk_bytes - in_chunk)
                     .min(total_bytes - written) as usize;
                 for &ni in &pipeline {
-                    self.nodes[ni].send(NodeCmd::Append {
-                        name: chunk_name.clone(),
-                        data: buf[..n].to_vec(),
-                        net_bytes: n as u64,
-                    });
+                    self.nodes[ni].append(&chunk_name, &buf[..n]);
                 }
                 in_chunk += n as u64;
                 written += n as u64;
             }
             // HDFS finalises (hflushes) the chunk on close.
             for &ni in &pipeline {
-                self.nodes[ni].send(NodeCmd::Fsync);
+                self.nodes[ni].fsync();
             }
             chunk_idx += 1;
         }
-        let nodes = self
-            .nodes
-            .into_iter()
-            .map(super::node::NodeHandle::finish)
-            .collect::<Vec<_>>();
+        let nodes = self.nodes.into_iter().map(Node::finish).collect();
         ClusterReport {
             label: format!("teragen r={}", self.replicas),
             nodes,
@@ -148,9 +137,9 @@ mod tests {
     #[test]
     fn cluster_tolerates_a_node_crash_mid_run() {
         let cfg = StackConfig::tiny(System::Tinca);
-        let cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
-        // Crash node 1 after the stream has started (commands queue up; the
-        // crash lands between two of its appends).
+        let mut cluster = HdfsCluster::new(4, 2, &cfg, 1 << 20);
+        // Crash node 1 right after formatting, before its first command:
+        // it reboots through recovery and then serves its share of chunks.
         cluster.crash_node(1, 42);
         let report = cluster.run_teragen(3 << 20, 16 << 10);
         assert_eq!(report.client_bytes, 3 << 20);
@@ -158,6 +147,44 @@ mod tests {
         for n in &report.nodes {
             assert!(n.files > 0, "node {} lost its chunks", n.node_id);
         }
+    }
+
+    #[test]
+    fn teragen_writes_exact_volume_across_chunks() {
+        // 16 000 B appends do not divide a 1 MiB chunk: the last append of
+        // each chunk is cut at the boundary.
+        let cfg = StackConfig::tiny(System::Tinca);
+        let report = HdfsCluster::new(4, 2, &cfg, 1 << 20).run_teragen(3 << 20, 16_000);
+        assert_eq!(report.client_bytes, 3 << 20);
+        assert_eq!(report.client_ops, (3 << 20) / 100);
+        // Chunk k goes to nodes k and k + 1: one file per chunk per replica.
+        let files: Vec<usize> = report.nodes.iter().map(|n| n.files).collect();
+        assert_eq!(files, [1, 2, 2, 1]);
+        let stored: u64 = report.nodes.iter().map(|n| n.fs.bytes_written).sum();
+        assert_eq!(stored, 2 * (3 << 20), "every replica holds every byte");
+    }
+
+    #[test]
+    fn teragen_is_pure_write() {
+        let cfg = StackConfig::tiny(System::Classic);
+        let report = HdfsCluster::new(4, 2, &cfg, 1 << 20).run_teragen(2 << 20, 16 << 10);
+        for n in &report.nodes {
+            assert_eq!(n.fs.read_ops, 0, "node {} read", n.node_id);
+        }
+    }
+
+    #[test]
+    fn teragen_is_deterministic() {
+        let run = || {
+            let cfg = StackConfig::tiny(System::Tinca);
+            let report = HdfsCluster::new(4, 2, &cfg, 1 << 20).run_teragen(2 << 20, 16 << 10);
+            report
+                .nodes
+                .iter()
+                .map(|n| (n.sim_ns, n.nvm.clflush, n.disk.writes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! the local storage manager of HDFS (TeraGen, Fig. 10) and GlusterFS
 //! (Filebench, Fig. 11).
 //!
-//! Here every node owns a complete simulated stack and runs on its own OS
-//! thread, driven through crossbeam channels; a 10 GbE latency/bandwidth
-//! model charges network time to the receiving node's simulated clock.
-//! Cluster execution time is the maximum simulated time across nodes —
-//! replicas work in parallel, exactly like a replication pipeline.
+//! Here every node is a plain [`Node`] that owns a complete simulated stack
+//! (the same `fssim::stack` the single-node figures use) with its own
+//! simulated clock; the cluster client calls each node's methods directly.
+//! A 10 GbE latency/bandwidth model charges network time to the receiving
+//! node's clock. Cluster execution time is the maximum simulated time
+//! across nodes — replicas work in parallel, exactly like a replication
+//! pipeline.
 
 //! ```
 //! use cluster::HdfsCluster;
@@ -31,5 +33,5 @@ pub mod report;
 pub use gluster::{GlusterCluster, GlusterFilebench};
 pub use hdfs::HdfsCluster;
 pub use net::NetModel;
-pub use node::{NodeCmd, NodeHandle, NodeReport};
+pub use node::{Node, NodeReport};
 pub use report::ClusterReport;

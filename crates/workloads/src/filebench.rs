@@ -31,7 +31,7 @@ impl Personality {
     }
 
     /// (read weight, write weight) per Table 2.
-    fn rw_ratio(self) -> (u32, u32) {
+    pub fn rw_ratio(self) -> (u32, u32) {
         match self {
             Personality::Fileserver => (1, 2),
             Personality::Webproxy => (5, 1),
@@ -40,7 +40,7 @@ impl Personality {
     }
 
     /// Whether every write is followed by fsync (mail delivery semantics).
-    fn fsync_per_write(self) -> bool {
+    pub fn fsync_per_write(self) -> bool {
         matches!(self, Personality::Varmail)
     }
 }

@@ -18,21 +18,13 @@
 //!   time, which equals wall time for a single shard.
 //!
 //! `wall = max` assumes one service context per shard — i.e. zero queue
-//! wait on the shard locks. When `threads > shards` that is
-//! optimistic: excess threads queue on the shard's cache lock and
-//! sequencer rounds but the model still credits them with perfect
-//! parallelism. The report therefore also
-//! carries `contended_wall_ns`, a list-scheduling (Graham-bound) estimate
-//! that caps parallelism at `min(threads, shards)` service contexts:
-//! `min(busy, busy / p + wall)`. It degrades exactly to `busy_ns` for one
-//! thread and to `wall_ns` when threads ≥ shards keeps every shard busy.
-//!
-//! **Which one figures use:** the closed-loop throughput/scaling figures
-//! (`scaling`, `phases`) plot `ops_per_sec()` over `wall_ns` — the
-//! model's idealised shard-parallel time, consistent across PRs.
-//! `contended_ops_per_sec()` over `contended_wall_ns` is the honest lower
-//! bound quoted alongside it when `threads > shards`. Queue wait is only
-//! *measured* (not bounded) by the open-loop tier
+//! wait on the shard locks. That is optimistic whenever threads and
+//! shards differ: excess threads queue on the shard's cache lock and
+//! sequencer rounds, and fewer threads than shards cannot keep every
+//! shard busy, yet the model credits perfect shard parallelism.
+//! `ops_per_sec()` is over `wall_ns`, the model's idealised
+//! shard-parallel time; the `scaling` figure prints `busy_ns` next to
+//! it. Queue wait is only *measured* by the open-loop tier
 //! ([`openloop`](crate::openloop)), which stamps arrivals and records
 //! wait explicitly.
 //!
@@ -97,10 +89,6 @@ pub struct MtReport {
     pub wall_ns: u64,
     /// Sum of per-shard clock advances (device-busy time).
     pub busy_ns: u64,
-    /// Contention-aware wall-time upper bound: list-scheduling estimate
-    /// with parallelism capped at `min(threads, shards)`. See the module
-    /// docs for when figures use this instead of `wall_ns`.
-    pub contended_wall_ns: u64,
     /// NVM counters summed over shards.
     pub nvm: NvmStats,
     /// Cache counters summed over shards.
@@ -120,16 +108,6 @@ impl MtReport {
             return 0.0;
         }
         self.ops() as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Operations per simulated second of *contended* wall time — the
-    /// conservative companion number for runs where `threads > shards`
-    /// (threads queue on the shard locks; `wall = max` hides that).
-    pub fn contended_ops_per_sec(&self) -> f64 {
-        if self.contended_wall_ns == 0 {
-            return 0.0;
-        }
-        self.ops() as f64 / (self.contended_wall_ns as f64 / 1e9)
     }
 
     /// `clflush` executions per committed transaction (the flushes/txn
@@ -375,9 +353,8 @@ impl MtFio {
     }
 
     /// Shared epilogue: per-shard clock/counter deltas merged into the
-    /// report. See the module docs for the wall/busy/contended model.
+    /// report. See the module docs for the wall/busy model.
     fn finish(&self, pool: &TincaPool, base: Baseline, read_ops: u64, write_txns: u64) -> MtReport {
-        let spec = &self.spec;
         let shards = pool.shard_count();
         let mut wall_ns = 0u64;
         let mut busy_ns = 0u64;
@@ -388,19 +365,13 @@ impl MtFio {
             busy_ns += d;
             nvm = nvm.merge(&pool.with_shard(s, |c| c.nvm().stats()).delta(&base.nvm0[s]));
         }
-        // Graham/list-scheduling bound with p = min(threads, shards)
-        // service contexts: any schedule finishes within busy/p + the
-        // longest single chain (≤ wall). Never worse than fully serial.
-        let p = spec.threads.min(shards).max(1) as u64;
-        let contended_wall_ns = busy_ns.min(busy_ns / p + wall_ns);
         MtReport {
-            threads: spec.threads,
+            threads: self.spec.threads,
             shards,
             read_ops,
             write_txns,
             wall_ns,
             busy_ns,
-            contended_wall_ns,
             nvm,
             cache: pool.stats().delta(&base.cache0),
         }
@@ -441,10 +412,6 @@ mod tests {
         assert!(r.write_txns > 0 && r.read_ops > 0);
         assert!(r.wall_ns > 0);
         assert_eq!(r.wall_ns, r.busy_ns, "one shard: wall == busy");
-        assert_eq!(
-            r.contended_wall_ns, r.busy_ns,
-            "one thread is fully serial: contended == busy"
-        );
         assert!(r.nvm.clflush > 0);
         assert!(r.flushes_per_txn() > 0.0);
         pool.check_consistency().unwrap();
@@ -461,13 +428,6 @@ mod tests {
         assert!(r.wall_ns > 0);
         assert!(r.busy_ns >= r.wall_ns, "busy time sums over shards");
         assert!(r.ops_per_sec() > 0.0);
-        // The contended estimate sits between the idealised parallel wall
-        // and the fully serial busy time, so the honest throughput bound
-        // is never above the model's.
-        assert!(r.contended_wall_ns >= r.wall_ns);
-        assert!(r.contended_wall_ns <= r.busy_ns);
-        assert!(r.contended_ops_per_sec() <= r.ops_per_sec());
-        assert!(r.contended_ops_per_sec() > 0.0);
         pool.check_consistency().unwrap();
         // Commit accounting stays sane under concurrency: `commits`
         // counts one per single-shard txn and one per fragment of a
@@ -485,9 +445,9 @@ mod tests {
 
     #[test]
     fn one_thread_over_many_shards_has_serial_contended_wall() {
-        // The idealised model credits 4-shard parallelism (wall = max)
-        // even though one thread serialises everything — the exact
-        // conflation the contended bound corrects.
+        // One thread serialises everything, so its real wall time is the
+        // serial `busy_ns`; the idealised model still credits 4-shard
+        // parallelism (wall = max).
         let pool = make_pool(4);
         let fio = MtFio::new(MtFioSpec::smoke(1));
         fio.setup(&pool, 64);
@@ -495,10 +455,6 @@ mod tests {
         assert_eq!(r.threads, 1);
         assert_eq!(r.shards, 4);
         assert!(r.wall_ns < r.busy_ns, "model claims shard parallelism");
-        assert_eq!(
-            r.contended_wall_ns, r.busy_ns,
-            "p = min(threads, shards) = 1 must degrade to serial time"
-        );
     }
 
     #[test]

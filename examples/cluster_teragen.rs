@@ -1,6 +1,6 @@
 //! TeraGen on the HDFS-like cluster (Fig. 9/10 of the paper): four data
-//! nodes, each a full NVM-cache storage stack on its own thread, with
-//! pipelined replication — comparing Tinca and Classic node stacks.
+//! nodes, each a full NVM-cache storage stack with its own simulated clock,
+//! with pipelined replication — comparing Tinca and Classic node stacks.
 //!
 //! ```text
 //! cargo run --release --example cluster_teragen [replicas] [MiB]

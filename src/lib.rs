@@ -10,8 +10,8 @@
 //! | [`tinca`] | **the paper's contribution**: the transactional NVM disk cache |
 //! | [`classic`] | the Flashcache-like baseline cache |
 //! | [`fssim`] | mini file system with JBD2 / Tinca / no-journal modes, plus [`fssim::stack`] full-stack builders |
-//! | [`workloads`] | Fio / TPC-C / Filebench / TeraGen generators |
-//! | [`cluster`] | HDFS- and GlusterFS-like replicated clusters |
+//! | [`workloads`] | Fio / TPC-C / Filebench generators |
+//! | [`cluster`] | HDFS- and GlusterFS-like replicated clusters, and the TeraGen stream |
 //! | [`crashsim`] | crash injection + recovery verification |
 //! | [`persistcheck`] | pmemcheck-style persist-ordering analyzer over NVM event traces |
 //!
